@@ -13,32 +13,32 @@ CNs, versus 1 for MPICH-V2).
 Recovery is trivially uncoordinated: the CM keeps the full ordered
 reception log, so a restarted process simply replays its receive stream
 from the CM (no sender cooperation needed).  This module implements the
-CM server, the V1 channel device, and a V1 job launcher with optional
-fault injection.
+CM server, the V1 channel device, and V1's launch strategy (with
+optional fault injection).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Generator, Optional
 
 from ..mpi.api import MPI
 from ..mpi.protocol import Packet
-from ..obs.collect import finalize_job
 from ..obs.registry import Metrics
-from ..runtime.cluster import Cluster
 from ..runtime.config import TestbedConfig
 from ..runtime.fabric import ConnectionRefused, Fabric
+from ..runtime.launch import Launch, RankState, Site
 from ..runtime.mpirun import rank_main
-from ..runtime.results import JobResult
 from ..runtime.retry import RetryPolicy
 from ..runtime.session import ServiceBase, Session
-from ..simnet.kernel import Future, Killed, Simulator
+from ..simnet.kernel import Future, Simulator
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
 from ..simnet.trace import Tracer
 from .base import ChannelDevice, segment_sizes
 
-__all__ = ["ChannelMemory", "V1Device", "run_v1_job"]
+__all__ = ["ChannelMemory", "V1Device", "V1Launch"]
 
 
 class ChannelMemory(ServiceBase):
@@ -366,206 +366,107 @@ class V1Device(ChannelDevice):
             pass  # link broke while we slept; the recv path reconnects
 
 
-def run_v1_job(
-    program,
-    nprocs: int,
-    cfg: TestbedConfig,
-    params: dict[str, Any],
-    trace: bool,
-    seed: int,
-    limit: Optional[float],
-    *,
-    cns_per_cm: int = 4,
-    faults: Optional[Any] = None,
-    audit: bool = False,
-    profile: bool = False,
-    timeseries: Any = False,
-) -> JobResult:
-    """Run a job on MPICH-V1: one reliable CM per ``cns_per_cm`` nodes.
+@dataclass(eq=False)
+class V1Launch(Launch):
+    """MPICH-V1: one reliable Channel Memory per ``cns_per_cm`` nodes.
 
     Fault tolerance is V1's own: a crashed rank restarts from the
     beginning and replays its reception stream from its Channel Memory,
     with no cooperation from any other process (uncoordinated restart).
     Checkpoint images are not modelled for V1 (restart is always from
-    scratch, the paper's Figure 10-style configuration).
+    scratch, the paper's Figure 10-style configuration).  Channel
+    Memories run under a service supervisor, so service fault plans can
+    crash and relaunch them.
     """
-    cluster = Cluster(cfg, seed=seed, trace=trace)
-    sim = cluster.sim
-    fabric = Fabric(cluster)
-    profiler = None
-    if profile:
-        from ..obs.profile import KernelProfiler
 
-        profiler = KernelProfiler()
-        profiler.install(sim)
-    sampler = None
-    if timeseries:
-        from ..obs.timeseries import TimeseriesSampler
+    device = "v1"
 
-        sampler = TimeseriesSampler.from_flag(cluster.metrics, timeseries)
-        sampler.install(sim)
-    auditor = None
-    if audit:
-        from ..obs.audit import ProtocolAuditor
+    cns_per_cm: int = 4
+    faults: Optional[Any] = None
 
-        auditor = ProtocolAuditor().attach(cluster.tracer)
+    def start(self, site: Site) -> None:
+        from ..ft.services import ServiceSupervisor
 
-    from ..ft.services import ServiceSupervisor
-
-    supervisor = ServiceSupervisor(
-        sim, cfg, tracer=cluster.tracer, metrics=cluster.metrics
-    )
-    n_cm = max(1, (nprocs + cns_per_cm - 1) // cns_per_cm)
-    cms = []
-    cm_of: dict[int, str] = {}
-    for i in range(n_cm):
-        host = cluster.add_aux(f"cm{i}")
-        cm = ChannelMemory(
-            sim, host, fabric, cfg, name=f"cm:{i}",
-            tracer=cluster.tracer, metrics=cluster.metrics,
+        super().start(site)
+        sim, cfg, cluster = self.sim, self.cfg, self.cluster
+        self.supervisor = ServiceSupervisor(
+            sim, cfg, tracer=self.tracer, metrics=self.metrics
         )
-        cm.start()
-        supervisor.register(cm.name, cm)
-        cms.append(cm)
-    for r in range(nprocs):
-        cm_of[r] = f"cm:{r // cns_per_cm}"
+        n = self.nprocs
+        self.cms: list[ChannelMemory] = []
+        for i in range(max(1, (n + self.cns_per_cm - 1) // self.cns_per_cm)):
+            cm = ChannelMemory(
+                sim, cluster.add_aux(f"cm{i}"), self.fabric, cfg,
+                name=f"cm:{i}", tracer=self.tracer, metrics=self.metrics,
+            )
+            cm.start()
+            self.supervisor.register(cm.name, cm)
+            self.cms.append(cm)
+        self.cm_of = {r: f"cm:{r // self.cns_per_cm}" for r in range(n)}
+        self.states = [RankState(r) for r in range(n)]
+        for st in self.states:
+            st.host = cluster.add_cn(f"cn{st.rank}")
+        self.done = sim.future("v1.job.done")
+        for r in range(n):
+            self._spawn(r)
+        if self.faults is not None:
+            # fault-driver processes live on the first CM's (reliable) host
+            self._inject_faults("v1.fault-injector", self.cms[0].host)
 
-    hosts = [cluster.add_cn(f"cn{r}") for r in range(nprocs)]
+    def _kill(self, rank: int) -> bool:
+        st = self.states[rank]
+        if st.host.failed or self.done.done or st.finished:
+            return False
+        st.host.crash()
+        return True
 
-    class RankSlot:
-        def __init__(self, rank: int) -> None:
-            self.rank = rank
-            self.incarnation = -1
-            self.device: Optional[V1Device] = None
-            self.mpi: Optional[MPI] = None
-            self.finished = False
-            self.result: Any = None
-            self.finish_time = 0.0
-            self.restarts = 0
-
-    slots = [RankSlot(r) for r in range(nprocs)]
-    done = sim.future("v1.job.done")
-    total_restarts = [0]
-
-    def spawn_rank(rank: int) -> None:
-        slot = slots[rank]
-        slot.incarnation += 1
-        inc = slot.incarnation
-        host = hosts[rank]
+    def _spawn(self, rank: int) -> None:
+        st = self.states[rank]
+        st.incarnation += 1
+        inc = st.incarnation
         dev = V1Device(
-            sim, cfg, rank, nprocs, host, tracer=cluster.tracer,
-            cm_of=cm_of, incarnation=inc, metrics=cluster.metrics,
+            self.sim, self.cfg, rank, self.nprocs, st.host,
+            tracer=self.tracer, cm_of=self.cm_of, incarnation=inc,
+            metrics=self.metrics,
         )
-        dev.wire(fabric)
-        mpi = MPI(sim, rank, nprocs, dev, tracer=cluster.tracer)
-        slot.device, slot.mpi = dev, mpi
-        p = sim.spawn(
-            rank_main(mpi, program, params), name=f"rank{rank}.i{inc}",
-            supervised=True,
+        dev.wire(self.fabric)
+        st.mpi = MPI(self.sim, rank, self.nprocs, dev, tracer=self.tracer)
+        p = self.sim.spawn(
+            rank_main(st.mpi, self.program, self.params),
+            name=f"rank{rank}.i{inc}", supervised=True,
         )
-        host.register(p)
+        st.host.register(p)
+        p.done.add_done_callback(partial(self._finished, rank, inc))
+        st.host.on_crash.append(lambda h: self._crashed(rank, inc))
 
-        def finished(fut, r=rank, i=inc):
-            slot2 = slots[r]
-            if slot2.incarnation != i:
-                return
-            exc = fut.exception
-            if exc is None:
-                slot2.finish_time, slot2.result = fut.value
-                slot2.finished = True
-                if all(sl.finished for sl in slots):
-                    done.resolve_if_pending([sl.result for sl in slots])
-                return
-            if isinstance(exc, Killed):
-                return  # host crash: restart below
-            done.fail_if_pending(exc)
+    def _crashed(self, rank: int, inc: int) -> None:
+        if self.states[rank].incarnation != inc or self.done.done:
+            return
+        self.sim.spawn(self._restart(rank, inc), name=f"v1.restart{rank}")
 
-        p.done.add_done_callback(finished)
-
-        def crashed(h, r=rank, i=inc):
-            slot2 = slots[r]
-            if slot2.incarnation != i or done.done:
-                return
-
-            def restart():
-                yield sim.pause(
-                    cfg.restart_detect_delay + cfg.restart_spawn_delay
-                )
-                if done.done or slots[r].incarnation != i:
-                    return
-                if hosts[r].failed:
-                    hosts[r].restart()
-                slots[r].restarts += 1
-                total_restarts[0] += 1
-                spawn_rank(r)
-
-            sim.spawn(restart(), name=f"v1.restart{r}")
-
-        host.on_crash.append(crashed)
-
-    for r in range(nprocs):
-        spawn_rank(r)
-
-    if faults is not None:
-        from ..ft.failure import ComposedFaults, FaultContext
-
-        if isinstance(faults, (list, tuple)):
-            faults = ComposedFaults(tuple(faults))
-
-        def spawn_proc(gen, label: str):
-            p = sim.spawn(gen, name=label)
-            # fault-driver helpers live on the first CM's (reliable) host
-            cms[0].host.register(p)
-            return p
-
-        ctx = FaultContext(
-            sim=sim,
-            alive_unfinished=lambda: [
-                s_.rank for s_ in slots
-                if not s_.finished and not hosts[s_.rank].failed
-            ],
-            kill=lambda r: (
-                False if hosts[r].failed or done.done or slots[r].finished
-                else (hosts[r].crash() or True)
-            ),
-            job_running=lambda: not done.done,
-            crash_service=supervisor.crash,
-            restart_service=supervisor.restart,
-            spawn=spawn_proc,
-            service_names=tuple(sorted(supervisor.services)),
+    def _restart(self, rank: int, inc: int):
+        st = self.states[rank]
+        yield self.sim.pause(
+            self.cfg.restart_detect_delay + self.cfg.restart_spawn_delay
         )
-        sim.spawn(faults.driver(ctx), name="v1.fault-injector")
+        if self.done.done or st.incarnation != inc:
+            return
+        if st.host.failed:
+            st.host.restart()
+        st.restarts += 1
+        self._spawn(rank)
 
-    results = sim.run_until(done, limit=limit)
-    if sampler is not None:
-        sampler.sample(sim.now)
-    for cm in cms:
-        if cm.stores:
-            cluster.metrics.counter("v1.cm_stores", cm=cm.name).inc(cm.stores)
-        if cm.serves:
-            cluster.metrics.counter("v1.cm_serves", cm=cm.name).inc(cm.serves)
-    reconnects = sum(
-        s_.device.cm_reconnects for s_ in slots if s_.device is not None
-    )
-    if reconnects:
-        cluster.metrics.counter("v1.cm_reconnects").inc(reconnects)
-    stats = finalize_job(
-        cluster, {r: slots[r].device.stats for r in range(nprocs)}, "v1"
-    )
-    report = auditor.finish() if auditor is not None else None
-    prof = profiler.finish() if profiler is not None else None
-    return JobResult(
-        nprocs=nprocs,
-        device="v1",
-        elapsed=max(s_.finish_time for s_ in slots),
-        results=results,
-        timers={r: slots[r].mpi.timer for r in range(nprocs)},
-        tracer=cluster.tracer,
-        stats=stats,
-        restarts=total_restarts[0],
-        metrics=cluster.metrics,
-        audit=report,
-        profile=prof,
-        timeseries=sampler,
-        extras={"channel_memories": cms},
-    )
+    def teardown(self) -> None:
+        """Fold the Channel Memories' end-of-run counters."""
+        metrics = self.metrics
+        for cm in self.cms:
+            if cm.stores:
+                metrics.counter("v1.cm_stores", cm=cm.name).inc(cm.stores)
+            if cm.serves:
+                metrics.counter("v1.cm_serves", cm=cm.name).inc(cm.serves)
+        reconnects = sum(st.mpi.device.cm_reconnects for st in self.states)
+        if reconnects:
+            metrics.counter("v1.cm_reconnects").inc(reconnects)
+
+    def extras(self) -> dict[str, Any]:
+        return {"channel_memories": self.cms}

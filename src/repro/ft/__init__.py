@@ -1,9 +1,9 @@
-"""The fault-tolerance runtime: dispatcher, checkpoint server and
-scheduler, failure injection, service supervision."""
+"""The fault-tolerance runtime: dispatcher, checkpoint scheduler,
+failure injection, service supervision.  The checkpoint server is a
+replica of the checkpoint store (:class:`repro.store.StoreReplica`)."""
 
 from .ckpt_scheduler import POLICIES, CheckpointScheduler
-from .ckpt_server import CheckpointServer
-from .dispatcher import Dispatcher, run_v2_job
+from .dispatcher import Dispatcher
 from .failure import (
     ChurnFaults,
     ComposedFaults,
@@ -19,9 +19,7 @@ from .services import ServiceSupervisor
 __all__ = [
     "POLICIES",
     "CheckpointScheduler",
-    "CheckpointServer",
     "Dispatcher",
-    "run_v2_job",
     "ChurnFaults",
     "ComposedFaults",
     "ExplicitFaults",

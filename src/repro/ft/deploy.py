@@ -1,16 +1,12 @@
 """Shared service deployment: EL replication groups and store replicas.
 
-:func:`run_v2_job` deploys these once per job on a private cluster; the
-control plane (``repro.serve``) deploys them once per *cluster* and
-shares them between every job it admits.  Both call the same helpers so
+V2's launch strategy (the :class:`~repro.ft.dispatcher.Dispatcher`)
+deploys these once per job on a private cluster; the control plane
+(``repro.serve``) deploys them once per *cluster* and shares them
+between every job it admits.  Both call the same helpers so
 there is exactly one encoding of the paper's service topology — shard
 names (``el:<s>`` / ``el:<s>.<r>``), replica placement on independent
 hosts, supervisor registration.
-
-``ns`` prefixes both the service names and the names of any hosts the
-helpers create, so two concurrent deployments on one shared cluster can
-coexist: without it they would collide on the network's host table (a
-hard error) and silently steal each other's fabric listeners.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from typing import Any, Optional
 from ..core.event_logger import EventLoggerServer
 from ..runtime.cluster import Cluster
 from ..runtime.config import TestbedConfig
-from .ckpt_server import CheckpointServer
+from ..store.replica import StoreReplica
 
 __all__ = ["deploy_el_groups", "deploy_store"]
 
@@ -33,9 +29,6 @@ def deploy_el_groups(
     *,
     n_shards: int,
     supervisor: Optional[Any] = None,
-    ns: str = "",
-    tracer: Optional[Any] = None,
-    metrics: Optional[Any] = None,
 ) -> tuple[list[list[str]], list[EventLoggerServer]]:
     """Deploy the EL replication group: ``n_shards`` × ``el_replicas``.
 
@@ -49,28 +42,20 @@ def deploy_el_groups(
     registers with the supervisor individually, so service faults can
     crash one replica of a shard.
     """
-    sim = cluster.sim
-    tracer = tracer if tracer is not None else cluster.tracer
-    metrics = metrics if metrics is not None else cluster.metrics
     n_rep = max(1, cfg.el_replicas)
     el_groups: list[list[str]] = []
     loggers: list[EventLoggerServer] = []
     for s in range(n_shards):
-        names = [
-            f"{ns}el:{s}" if r == 0 else f"{ns}el:{s}.{r}"
-            for r in range(n_rep)
-        ]
+        names = [f"el:{s}" if r == 0 else f"el:{s}.{r}" for r in range(n_rep)]
         for r, el_name in enumerate(names):
             host = (
                 el_hosts[s]
                 if r == 0
-                else cluster.add_aux(
-                    f"el-host{s}.{r}", site=el_hosts[s].site, namespace=ns
-                )
+                else cluster.add_aux(f"el-host{s}.{r}", site=el_hosts[s].site)
             )
             el = EventLoggerServer(
-                sim, host, fabric, cfg, name=el_name,
-                tracer=tracer, metrics=metrics,
+                cluster.sim, host, fabric, cfg, name=el_name,
+                tracer=cluster.tracer, metrics=cluster.metrics,
                 shard=s,
                 peer_names=tuple(n for n in names if n != el_name),
             )
@@ -89,20 +74,14 @@ def deploy_store(
     cs_hosts: list,
     *,
     supervisor: Optional[Any] = None,
-    ns: str = "",
     mutations: Optional[frozenset] = None,
-    tracer: Optional[Any] = None,
-    metrics: Optional[Any] = None,
-) -> tuple[list[str], list[CheckpointServer]]:
+) -> tuple[list[str], list[StoreReplica]]:
     """Deploy the checkpoint-store replica set, one replica per host."""
-    sim = cluster.sim
-    tracer = tracer if tracer is not None else cluster.tracer
-    metrics = metrics if metrics is not None else cluster.metrics
-    servers: list[CheckpointServer] = []
+    servers: list[StoreReplica] = []
     for i, host in enumerate(cs_hosts):
-        cs = CheckpointServer(
-            sim, host, fabric, cfg, name=f"{ns}cs:{i}",
-            tracer=tracer, metrics=metrics,
+        cs = StoreReplica(
+            cluster.sim, host, fabric, cfg, name=f"cs:{i}",
+            tracer=cluster.tracer, metrics=cluster.metrics,
             mutations=mutations,
         )
         cs.start()

@@ -5,54 +5,35 @@ programs (CS, EL, SC, CN), and then monitors the execution potentially
 re-launching the crashed programs. ... a socket disconnection is
 considered as a trusty fault detector."
 
-:func:`run_v2_job` is the MPICH-V2 entry point used by ``run_job``:
-it assembles the paper's typical deployment — volatile computing nodes,
-one reliable node hosting dispatcher + event logger(s) + checkpoint
-scheduler, one reliable node for the checkpoint server — wires the fault
-injector, and runs to completion, restarting every crashed rank through
-the recovery protocol.
+The :class:`Dispatcher` is therefore MPICH-V2's launch strategy (see
+:mod:`repro.runtime.launch`), used by ``run_job`` and by the control
+plane alike: it assembles the paper's typical deployment — volatile
+computing nodes, one reliable node hosting dispatcher + event logger(s)
++ checkpoint scheduler, one reliable node for the checkpoint server — or
+joins a plane's shared services, wires the fault injector, launches
+every rank and restarts each crashed one through the recovery protocol.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from ..core.v2_device import V2Daemon, V2Device
 from ..mpi.api import MPI
-from ..obs.collect import finalize_job
-from ..runtime.cluster import Cluster
-from ..runtime.config import TestbedConfig
-from ..runtime.fabric import Fabric
+from ..runtime.launch import Launch, RankState, Site
 from ..runtime.mpirun import rank_main
 from ..runtime.progfile import DeploymentPlan
-from ..runtime.results import JobResult
 from ..runtime.session import ServiceBase
-from ..simnet.kernel import Future, Killed
+from ..simnet.kernel import Future
 from ..simnet.node import Host
 from ..simnet.streams import Disconnected, StreamEnd
 from .ckpt_scheduler import CheckpointScheduler
 from .deploy import deploy_el_groups, deploy_store
-from .failure import ComposedFaults, FaultContext
 from .services import ServiceSupervisor
 
-__all__ = ["Dispatcher", "run_v2_job"]
-
-
-class RankState:
-    """Dispatcher-side view of one MPI rank."""
-
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.host: Optional[Host] = None
-        self.incarnation = -1
-        self.daemon: Optional[V2Daemon] = None
-        self.mpi: Optional[MPI] = None
-        self.app_done: Optional[Future] = None
-        self.finished = False
-        self.result: Any = None
-        self.finish_time = 0.0
-        self.spawn_time = 0.0  # when this incarnation was launched
-        self.restarts = 0
+__all__ = ["Dispatcher"]
 
 
 class _ControlListener(ServiceBase):
@@ -103,60 +84,167 @@ class _ControlListener(ServiceBase):
             # through the app process future (same information, no race)
 
 
-class Dispatcher:
-    """Launches rank processes and restarts them on failure."""
+@dataclass(eq=False)
+class Dispatcher(Launch):
+    """Deploys a V2 job, launches its ranks and restarts them on failure.
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        fabric: Fabric,
-        host: Host,
-        program: Callable,
-        params: dict[str, Any],
-        nprocs: int,
-        cn_hosts: list[Host],
-        spare_hosts: list[Host],
-        el_groups: list[list[str]],
-        sched_name: Optional[str],
-        cs_names: Optional[list[str]],
-        wipe_logs: Optional[Callable[[], None]] = None,
-        mutations: Optional[frozenset] = None,
-        supervisor: Optional[Any] = None,
-        tracer: Optional[Any] = None,
-        metrics: Optional[Any] = None,
-        job_key: Optional[Callable[[int], Any]] = None,
-        rng_ns: str = "",
-    ) -> None:
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.cfg = cluster.cfg
-        self.fabric = fabric
-        # per-job observability: the control plane hands each dispatcher
-        # its job's own tracer/metrics so concurrent jobs never share a
-        # registry; a single-job deployment keeps the cluster's
-        self.tracer = tracer if tracer is not None else cluster.tracer
-        self.metrics = metrics if metrics is not None else cluster.metrics
+    On a private site the paper's typical setup is deployed: one
+    reliable machine hosting the dispatcher, the event logger(s) and the
+    checkpoint scheduler, one reliable machine for the checkpoint
+    server, plus the volatile computing nodes.  A
+    :class:`~repro.runtime.progfile.DeploymentPlan` (e.g. parsed from a
+    §4.7 program file) overrides machine placement; its computing-node
+    count must match ``nprocs``.  On a plane site the job reuses the
+    plane's shared EL shards and store replicas under its namespace, and
+    the dispatcher and scheduler run on the admitted service host.
+
+    ``mutations`` is a test-only set of deliberate protocol violations
+    to seed (see :class:`~repro.core.v2_device.V2Daemon`) so the
+    auditor's detectors can be exercised.  ``on_ready`` is called with
+    the deployment's components before the run starts (a test/chaos
+    hook for scheduling failures of auxiliary components).
+    """
+
+    device = "v2"
+
+    checkpointing: bool = False
+    ckpt_policy: str = "round_robin"
+    ckpt_interval: float = 30.0
+    ckpt_continuous: bool = False
+    faults: Optional[Any] = None
+    n_event_loggers: int = 1
+    spares: int = 0
+    on_ready: Optional[Callable[[dict], None]] = None
+    plan: Optional[DeploymentPlan] = None
+    mutations: Optional[frozenset] = None
+
+    def __post_init__(self) -> None:
+        if self.plan is not None and self.plan.nprocs != self.nprocs:
+            raise ValueError(
+                f"program file declares {self.plan.nprocs} computing nodes, "
+                f"job asked for {self.nprocs}"
+            )
+
+    # -- launch --------------------------------------------------------------
+    def start(self, site: Site) -> None:
+        """Deploy (or join) the services, listen, launch every rank."""
+        super().start(site)
+        ns, plane = site.ns, site.plane
         #: rank -> identity on shared EL/store services (None = bare rank)
-        self.job_key = job_key
+        self.job_key = ns.key if ns is not None else None
         #: disambiguates named RNG streams when jobs share one registry
-        self.rng_ns = rng_ns
-        self.host = host
-        self.program = program
-        self.params = params
-        self.nprocs = nprocs
-        self.cn_hosts = cn_hosts
-        self.spare_hosts = list(spare_hosts)
-        # one name list per EL shard (all replicas of the rank's shard);
-        # ranks shard by rank % len(el_groups)
-        self.el_groups = [list(g) for g in el_groups]
-        self.sched_name = sched_name
-        self.cs_names = tuple(cs_names) if cs_names else ()
-        self.wipe_logs = wipe_logs
-        self.mutations = frozenset(mutations or ())  # test-only fault seeds
-        self.supervisor = supervisor  # ServiceSupervisor for EL/CS crashes
-        self.states = [RankState(r) for r in range(nprocs)]
+        self.rng_ns = ns.prefix if ns is not None else ""
+        if plane is None:
+            self._deploy()
+        else:
+            self.el_groups, self.loggers = plane.el_groups, plane.loggers
+            self.cs_names, self.servers = plane.cs_names, plane.servers
+            self.host = self.sched_host = site.svc_host
+            self.cn_hosts, self.spare_hosts = site.hosts, []
+            self.supervisor = None
+            plane.router.register(ns.tag, site.tracer)
+        self.scheduler = None
+        self.sched_name = None
+        if self.checkpointing:
+            self.scheduler = CheckpointScheduler(
+                self.sim, self.sched_host, self.fabric, self.cfg, self.nprocs,
+                policy=self.ckpt_policy,
+                interval=self.ckpt_interval,
+                continuous=self.ckpt_continuous,
+                rng=self.cluster.rng.stream(f"{self.rng_ns}ckpt-sched"),
+                tracer=self.tracer,
+                cs_names=tuple(self.cs_names),
+                metrics=self.metrics,
+                key_of=self.job_key,
+            )
+            self.scheduler.start()
+            self.sched_name = self.scheduler.name
+        self._monitor_state()
+        self.listener.start()
+        for r in range(self.nprocs):
+            self._spawn_rank(r, self.cn_hosts[r])
+        if self.cfg.hb_interval > 0 and self.cfg.hb_timeout > 0:
+            p = self.sim.spawn(self._hb_monitor(), name="disp.hb-monitor")
+            self.host.register(p)
+        if self.faults is not None:
+            self._inject_faults(
+                f"{ns.tag}.faults" if ns is not None else "fault-injector",
+                self.host, partition=self._partition, flap_link=self._flap_link,
+            )
+        if self.on_ready is not None:
+            self.on_ready({
+                "sim": self.sim,
+                "cluster": self.cluster,
+                "dispatcher": self,
+                "cs_host": self.cs_hosts[0],
+                "cs_hosts": self.cs_hosts,
+                "service_host": self.host,
+                "checkpoint_server": self.servers[0],
+                "checkpoint_servers": self.servers,
+                "event_loggers": self.loggers,
+                "supervisor": self.supervisor,
+                "network": self.cluster.net,
+            })
+
+    def _deploy(self) -> None:
+        """Machines and services of a private deployment."""
+        cluster, cfg, plan = self.cluster, self.cfg, self.plan
+        n_cs = max(1, cfg.ckpt_servers)
+        n_el = max(self.n_event_loggers, cfg.el_servers)
+        if plan is None:
+            self.host = cluster.add_aux("service")  # dispatcher + EL(s) + SC
+            self.cs_hosts = [
+                cluster.add_aux("cs-host" if i == 0 else f"cs-host{i}")
+                for i in range(n_cs)
+            ]
+            self.cn_hosts = [
+                cluster.add_cn(f"cn{r}") for r in range(self.nprocs)
+            ]
+            self.spare_hosts = [
+                cluster.add_cn(f"spare{i}") for i in range(self.spares)
+            ]
+            el_hosts = [self.host] * n_el
+            self.sched_host = self.host
+        else:
+            aux = set(plan.els) | {plan.cs, plan.scheduler, plan.dispatcher}
+            machines = {
+                name: cluster.add_aux(
+                    name, site=plan.options.get(name, {}).get("site", "site0")
+                )
+                for name in sorted(aux)
+            }
+            for name in plan.cns + plan.spares:
+                machines[name] = cluster.add_cn(
+                    name, site=plan.options.get(name, {}).get("site", "site0")
+                )
+            self.cn_hosts = [machines[n] for n in plan.cns]
+            self.spare_hosts = [machines[n] for n in plan.spares]
+            el_hosts = [machines[n] for n in plan.els]
+            # the §4.7 program-file grammar names a single CS machine;
+            # extra replicas colocate there (they still fail independently
+            # as *services* under the supervisor)
+            self.cs_hosts = [machines[plan.cs]] * n_cs
+            self.sched_host = machines[plan.scheduler]
+            self.host = machines[plan.dispatcher]
+            n_el = len(plan.els)
+        self.supervisor = ServiceSupervisor(
+            self.sim, cfg, tracer=self.tracer, metrics=self.metrics
+        )
+        # the control plane builds its shared services with the same
+        # helpers, so both encode one service topology
+        self.el_groups, self.loggers = deploy_el_groups(
+            cluster, self.fabric, cfg, el_hosts,
+            n_shards=n_el, supervisor=self.supervisor,
+        )
+        self.cs_names, self.servers = deploy_store(
+            cluster, self.fabric, cfg, self.cs_hosts,
+            supervisor=self.supervisor, mutations=self.mutations,
+        )
+
+    def _monitor_state(self) -> None:
+        """Rank table, fault/recovery metrics and the control listener."""
+        self.states = [RankState(r) for r in range(self.nprocs)]
         self.done = Future(self.sim, name="dispatcher.done")
-        self.total_restarts = 0
         self.global_restarts = 0
         self._global_restarting = False
         m = self.metrics
@@ -184,19 +272,9 @@ class Dispatcher:
         self.last_hb: dict[int, float] = {}
         self.suspects: set[int] = set()
         self.listener = _ControlListener(
-            self, self.sim, host, fabric, "dispatcher",
+            self, self.sim, self.host, self.fabric, "dispatcher",
             tracer=self.tracer, metrics=self.metrics,
         )
-
-    # -- launch --------------------------------------------------------------
-    def start(self) -> None:
-        """Listen for daemon control links and launch every rank."""
-        self.listener.start()
-        for r in range(self.nprocs):
-            self._spawn_rank(r, self.cn_hosts[r])
-        if self.cfg.hb_interval > 0 and self.cfg.hb_timeout > 0:
-            p = self.sim.spawn(self._hb_monitor(), name="disp.hb-monitor")
-            self.host.register(p)
 
     # -- heartbeat monitoring ------------------------------------------------
     def note_heartbeat(self, rank: int) -> None:
@@ -238,10 +316,6 @@ class Dispatcher:
             self.recovering.discard(rank)
             self._m_recovering.set(float(len(self.recovering)), time)
 
-    def stop(self, cause: Any = "disp-crash") -> None:
-        """Withdraw the control listener and drop every daemon link."""
-        self.listener.stop(cause)
-
     def _trigger_global_restart(self) -> None:
         if self._global_restarting or self.done.done:
             return
@@ -268,8 +342,7 @@ class Dispatcher:
         if self.done.done:
             return
         # the previous execution's logs describe a dead history: wipe them
-        if self.wipe_logs is not None:
-            self.wipe_logs()
+        self._wipe_logs()
         for st in self.states:
             if st.host is not None and st.host.failed:
                 st.host.restart()
@@ -323,33 +396,12 @@ class Dispatcher:
             supervised=True,
         )
         host.register(aproc)
-        st.app_done = aproc.done
-        aproc.done.add_done_callback(
-            lambda fut, r=rank, inc=incarnation: self._app_finished(r, inc, fut)
-        )
+        aproc.done.add_done_callback(partial(self._finished, rank, incarnation))
         host.on_crash.append(
             lambda h, r=rank, inc=incarnation: self._on_host_crash(r, inc)
         )
 
     # -- monitoring / recovery ---------------------------------------------------
-    def _app_finished(self, rank: int, incarnation: int, fut: Future) -> None:
-        st = self.states[rank]
-        if st.incarnation != incarnation:
-            return
-        exc = fut.exception
-        if exc is None:
-            finish_time, result = fut.value
-            st.finished = True
-            st.result = result
-            st.finish_time = finish_time
-            if all(s.finished for s in self.states) and not self.done.done:
-                self.done.resolve([s.result for s in self.states])
-            return
-        if isinstance(exc, Killed):
-            return  # the host crashed; _on_host_crash drives the restart
-        # a genuine program/runtime error: abort the job loudly
-        self.done.fail_if_pending(exc)
-
     def _on_host_crash(self, rank: int, incarnation: int) -> None:
         st = self.states[rank]
         if st.incarnation != incarnation or self.done.done:
@@ -377,11 +429,7 @@ class Dispatcher:
             self.sim.now, "ft.detect", rank=rank, source=source,
             latency_s=latency,
         )
-        old_host = st.host
-        if self.spare_hosts:
-            host = self.spare_hosts.pop(0)
-        else:
-            host = old_host
+        host = self.spare_hosts.pop(0) if self.spare_hosts else st.host
         yield self.sim.pause(self.cfg.restart_spawn_delay)
         if self.done.done or st.incarnation != incarnation:
             return
@@ -389,7 +437,6 @@ class Dispatcher:
             host.restart()
         st.finished = False  # a finished rank can be re-executed to serve peers
         st.restarts += 1
-        self.total_restarts += 1
         self._m_restarts.inc()
         self._m_downtime.observe(self.sim.now - t_crash)
         self.tracer.emit(
@@ -398,299 +445,94 @@ class Dispatcher:
         )
         self._spawn_rank(rank, host)
 
-    # -- fault-injection context ---------------------------------------------------
-    def fault_context(self) -> FaultContext:
-        """The kill/inspect interface handed to fault injectors."""
-        def alive_unfinished() -> list[int]:
-            return [
-                s.rank
-                for s in self.states
-                if not s.finished and s.host is not None and not s.host.failed
-            ]
+    # -- fault injection -----------------------------------------------------
+    def _kill(self, rank: int) -> bool:
+        st = self.states[rank]
+        if st.host is None or st.host.failed or self.done.done:
+            return False
+        self.tracer.emit(self.sim.now, "ft.fault", rank=rank)
+        self._m_faults.inc()
+        st.host.crash()
+        return True
 
-        def kill(rank: int) -> bool:
-            st = self.states[rank]
-            if st.host is None or st.host.failed or self.done.done:
-                return False
-            self.tracer.emit(self.sim.now, "ft.fault", rank=rank)
-            self._m_faults.inc()
-            st.host.crash()
-            return True
-
-        def partition(ranks, duration: float):
-            """Cut the hosts of ``ranks`` off from everything else."""
-            net = self.cluster.net
-            group = {
-                self.states[r].host
-                for r in ranks
-                if self.states[r].host is not None
-            }
-            rest = [h for h in net.hosts.values() if h not in group]
-            return net.partition(group, rest, duration)
-
-        def flap_link(a: int, b: int) -> int:
-            """Break the live streams between the hosts of ranks a and b."""
-            ha, hb = self.states[a].host, self.states[b].host
-            if ha is None or hb is None or ha.failed or hb.failed:
-                return 0
-            return self.cluster.net.break_links(ha, hb, cause="link-flap")
-
-        def crash_service(name: str, downtime: float = 0.0) -> None:
-            assert self.supervisor is not None
-            self.supervisor.crash(name, downtime)
-
-        def restart_service(name: str) -> None:
-            assert self.supervisor is not None
-            self.supervisor.restart(name)
-
-        def spawn(gen, label: str):
-            p = self.sim.spawn(gen, name=label)
-            self.host.register(p)
-            return p
-
-        supervised = (
-            tuple(sorted(self.supervisor.services))
-            if self.supervisor is not None
-            else ()
-        )
-        return FaultContext(
-            sim=self.sim,
-            alive_unfinished=alive_unfinished,
-            kill=kill,
-            job_running=lambda: not self.done.done,
-            partition=partition,
-            crash_service=crash_service if self.supervisor else None,
-            restart_service=restart_service if self.supervisor else None,
-            flap_link=flap_link,
-            spawn=spawn,
-            service_names=supervised,
-        )
-
-
-def run_v2_job(
-    program: Callable,
-    nprocs: int,
-    cfg: TestbedConfig,
-    params: dict[str, Any],
-    trace: bool,
-    seed: int,
-    limit: Optional[float],
-    *,
-    checkpointing: bool = False,
-    ckpt_policy: str = "round_robin",
-    ckpt_interval: float = 30.0,
-    ckpt_continuous: bool = False,
-    faults: Optional[Any] = None,
-    n_event_loggers: int = 1,
-    spares: int = 0,
-    on_ready: Optional[Callable[[dict], None]] = None,
-    plan: Optional["DeploymentPlan"] = None,
-    audit: bool = False,
-    audit_hb: bool = False,
-    mutations: Optional[frozenset] = None,
-    profile: bool = False,
-    timeseries: Any = False,
-) -> JobResult:
-    """Deploy and run an MPICH-V2 job.
-
-    Without a ``plan``, the paper's typical setup is used: one reliable
-    machine hosting the dispatcher, the event logger(s) and the
-    checkpoint scheduler, one reliable machine for the checkpoint
-    server, plus the volatile computing nodes.  A
-    :class:`~repro.runtime.progfile.DeploymentPlan` (e.g. parsed from a
-    §4.7 program file) overrides machine placement; its computing-node
-    count must match ``nprocs``.
-
-    ``audit=True`` attaches the online protocol auditor to the live
-    trace stream (``audit_hb`` additionally collects the happens-before
-    graph); the verdict lands in ``JobResult.audit``.  ``mutations`` is
-    a test-only set of deliberate protocol violations to seed (see
-    :class:`~repro.core.v2_device.V2Daemon`) so the auditor's detectors
-    can be exercised.
-    """
-    cluster = Cluster(cfg, seed=seed, trace=trace)
-    sim = cluster.sim
-    fabric = Fabric(cluster)
-    profiler = None
-    if profile:
-        from ..obs.profile import KernelProfiler
-
-        profiler = KernelProfiler()
-        profiler.install(sim)
-    sampler = None
-    if timeseries:
-        from ..obs.timeseries import TimeseriesSampler
-
-        sampler = TimeseriesSampler.from_flag(cluster.metrics, timeseries)
-        sampler.install(sim)
-    auditor = None
-    if audit:
-        from ..obs.audit import ProtocolAuditor
-
-        auditor = ProtocolAuditor(hb_graph=audit_hb).attach(cluster.tracer)
-
-    if plan is not None and plan.nprocs != nprocs:
-        raise ValueError(
-            f"program file declares {plan.nprocs} computing nodes, "
-            f"job asked for {nprocs}"
-        )
-
-    n_cs = max(1, cfg.ckpt_servers)
-    n_event_loggers = max(n_event_loggers, cfg.el_servers)
-    if plan is None:
-        service = cluster.add_aux("service")  # dispatcher + EL(s) + scheduler
-        cs_hosts = [
-            cluster.add_aux("cs-host" if i == 0 else f"cs-host{i}")
-            for i in range(n_cs)
-        ]
-        cn_hosts = [cluster.add_cn(f"cn{r}") for r in range(nprocs)]
-        spare_hosts = [cluster.add_cn(f"spare{i}") for i in range(spares)]
-        el_hosts = [service] * n_event_loggers
-        sched_host = service
-    else:
-        aux_names = set(plan.els) | {plan.cs, plan.scheduler, plan.dispatcher}
-        machines = {
-            name: cluster.add_aux(
-                name, site=plan.options.get(name, {}).get("site", "site0")
-            )
-            for name in sorted(aux_names)
+    def _partition(self, ranks, duration: float):
+        """Cut the hosts of ``ranks`` off from everything else."""
+        net = self.cluster.net
+        group = {
+            self.states[r].host
+            for r in ranks
+            if self.states[r].host is not None
         }
-        for name in plan.cns + plan.spares:
-            machines[name] = cluster.add_cn(
-                name, site=plan.options.get(name, {}).get("site", "site0")
-            )
-        cn_hosts = [machines[n] for n in plan.cns]
-        spare_hosts = [machines[n] for n in plan.spares]
-        el_hosts = [machines[n] for n in plan.els]
-        # the §4.7 program-file grammar names a single CS machine; extra
-        # replicas colocate there (they still fail independently as
-        # *services* under the supervisor)
-        cs_hosts = [machines[plan.cs]] * n_cs
-        sched_host = machines[plan.scheduler]
-        service = machines[plan.dispatcher]
-        n_event_loggers = len(plan.els)
+        rest = [h for h in net.hosts.values() if h not in group]
+        return net.partition(group, rest, duration)
 
-    supervisor = ServiceSupervisor(
-        sim, cfg, tracer=cluster.tracer, metrics=cluster.metrics
-    )
+    def _flap_link(self, a: int, b: int) -> int:
+        """Break the live streams between the hosts of ranks a and b."""
+        ha, hb = self.states[a].host, self.states[b].host
+        if ha is None or hb is None or ha.failed or hb.failed:
+            return 0
+        return self.cluster.net.break_links(ha, hb, cause="link-flap")
 
-    # the EL replication group and the store replica set come from the
-    # shared deploy helpers, so the control plane (repro.serve) builds
-    # the exact same topology when it shares one deployment between
-    # many concurrent jobs
-    el_groups, loggers = deploy_el_groups(
-        cluster, fabric, cfg, el_hosts,
-        n_shards=n_event_loggers, supervisor=supervisor,
-    )
-    cs_names, servers = deploy_store(
-        cluster, fabric, cfg, cs_hosts,
-        supervisor=supervisor, mutations=mutations,
-    )
+    # -- end of job ----------------------------------------------------------
+    def _evict(self) -> None:
+        """Drop this job's keys from the plane's shared EL and store."""
+        keys = [self.job_key(r) for r in range(self.nprocs)]
+        for el in self.loggers:
+            el.evict(keys)
+        for srv in self.servers:
+            srv.evict(keys)
 
-    sched_name = None
-    scheduler = None
-    if checkpointing:
-        scheduler = CheckpointScheduler(
-            sim,
-            sched_host,
-            fabric,
-            cfg,
-            nprocs,
-            policy=ckpt_policy,
-            interval=ckpt_interval,
-            continuous=ckpt_continuous,
-            rng=cluster.rng.stream("ckpt-sched"),
-            tracer=cluster.tracer,
-            cs_names=tuple(cs_names),
-            metrics=cluster.metrics,
-        )
-        scheduler.start()
-        sched_name = scheduler.name
+    def _wipe_logs(self) -> None:
+        """Forget the logged history before a global restart."""
+        if self.site.plane is not None:
+            self._evict()  # this job's history only
+        else:
+            for el in self.loggers:
+                el.events.clear()
+            for srv in self.servers:
+                srv.wipe()
+        if self.scheduler is not None:
+            self.scheduler.reset_store_state()
 
-    def wipe_logs() -> None:
-        for el in loggers:
-            el.events.clear()
-        for s in servers:
-            s.wipe()
-        if scheduler is not None:
-            scheduler.reset_store_state()
+    def teardown(self) -> None:
+        """On a plane, tear the job down in dependency order.
 
-    dispatcher = Dispatcher(
-        cluster,
-        fabric,
-        service,
-        program,
-        params,
-        nprocs,
-        cn_hosts,
-        spare_hosts,
-        el_groups,
-        sched_name,
-        cs_names,
-        wipe_logs=wipe_logs,
-        mutations=mutations,
-        supervisor=supervisor,
-    )
-    dispatcher.start()
+        Resolve ``done`` first so every crash callback and monitor loop
+        sees a finished job, then withdraw the control listener and the
+        scheduler, reclaim the machines, stop routing the shared
+        services' traces (the reclaim's ``store.gc`` sweep is end-of-job
+        bookkeeping, not part of the audited history) and evict the
+        job's keys.
+        """
+        if self.site.plane is None:
+            return
+        self.done.resolve_if_pending(None)
+        self.listener.stop("job-complete")  # drops every daemon link
+        if self.scheduler is not None:
+            self.scheduler.stop("job-complete")
+        super().teardown()
+        self.site.plane.router.unregister(self.site.ns.tag)
+        self._evict()
 
-    if faults is not None:
-        if isinstance(faults, (list, tuple)):
-            faults = ComposedFaults(tuple(faults))
-        ctx = dispatcher.fault_context()
-        service.register(sim.spawn(faults.driver(ctx), name="fault-injector"))
+    def extras(self) -> dict[str, Any]:
+        out: dict[str, Any] = {
+            "global_restarts": self.global_restarts,
+            "faults": self.faults,
+        }
+        if self.site.plane is not None:
+            if self.tracer.enabled:
+                from ..obs.timeline import RecoveryAttribution
 
-    if on_ready is not None:
-        # test/chaos hook: lets callers schedule failures of auxiliary
-        # components (checkpoint server, ...) before the run starts
-        on_ready(
-            {
-                "sim": sim,
-                "cluster": cluster,
-                "dispatcher": dispatcher,
-                "cs_host": cs_hosts[0],
-                "cs_hosts": cs_hosts,
-                "service_host": service,
-                "checkpoint_server": servers[0],
-                "checkpoint_servers": servers,
-                "event_loggers": loggers,
-                "supervisor": supervisor,
-                "network": cluster.net,
-            }
-        )
-
-    results = sim.run_until(dispatcher.done, limit=limit)
-    if sampler is not None:
-        sampler.sample(sim.now)  # close the series at job end
-    elapsed = max(s.finish_time for s in dispatcher.states)
-    stats = finalize_job(
-        cluster,
-        {r: dispatcher.states[r].mpi.device.stats for r in range(nprocs)},
-        "v2",
-    )
-    report = auditor.finish() if auditor is not None else None
-    prof = profiler.finish() if profiler is not None else None
-    return JobResult(
-        nprocs=nprocs,
-        device="v2",
-        elapsed=elapsed,
-        results=results,
-        timers={r: dispatcher.states[r].mpi.timer for r in range(nprocs)},
-        tracer=cluster.tracer,
-        stats=stats,
-        restarts=dispatcher.total_restarts,
-        checkpoints=int(cluster.metrics.total("ckpt.images")),
-        metrics=cluster.metrics,
-        audit=report,
-        profile=prof,
-        timeseries=sampler,
-        extras={
-            "global_restarts": dispatcher.global_restarts,
-            "event_loggers": loggers,
-            "checkpoint_server": servers[0],
-            "checkpoint_servers": servers,
-            "scheduler": scheduler,
-            "dispatcher": dispatcher,
-            "faults": faults,
-            "supervisor": supervisor,
-        },
-    )
+                out["mttr"] = RecoveryAttribution.from_trace(self.tracer)
+            else:
+                out["mttr"] = None
+        else:
+            out.update({
+                "event_loggers": self.loggers,
+                "checkpoint_server": self.servers[0],
+                "checkpoint_servers": self.servers,
+                "scheduler": self.scheduler,
+                "dispatcher": self,
+                "supervisor": self.supervisor,
+            })
+        return out

@@ -23,7 +23,6 @@ and this package measures exactly those mechanisms:
   critical-path extraction over the auditor's happens-before graph.
 """
 
-from .collect import finalize_job
 from .profile import (
     KernelProfile,
     KernelProfiler,
@@ -59,7 +58,6 @@ __all__ = [
     "trace_records",
     "write_chrome_trace",
     "write_trace_jsonl",
-    "finalize_job",
     "KernelProfile",
     "KernelProfiler",
     "classify_service",

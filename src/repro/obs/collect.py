@@ -3,16 +3,17 @@
 Hot-path components that move millions of segments (the network, the
 NICs, the stream flow control) keep plain float attributes instead of
 live metric handles — an attribute add is the cheapest accounting
-possible.  :func:`finalize_job` runs once when a job completes and folds
-those floats, plus the per-rank device counters, into the cluster's
-:class:`~repro.obs.registry.Metrics`, then returns the per-rank stats
-dicts that :class:`~repro.runtime.results.JobResult` exposes.
+possible.  When a job completes, those floats and the per-rank device
+counters are folded into a :class:`~repro.obs.registry.Metrics`
+registry, and the per-rank stats dicts that
+:class:`~repro.runtime.results.JobResult` exposes are built.
 
-The two halves are separable because the control plane needs them
+The two halves are separate because a shared cluster needs them
 separately: :func:`fold_cluster` folds the *shared* accounting (network,
-NICs, streams) exactly once per cluster, while :func:`fold_device_stats`
-folds one job's device counters into that job's own registry — called
-once per job over a shared cluster.
+NICs, streams) exactly once per cluster — after the job on a private
+cluster, at shutdown on the control plane — while
+:func:`fold_device_stats` folds one job's device counters into that
+job's own registry (see :func:`repro.runtime.launch.finalize`).
 
 The returned dicts are backward compatible: the device-stat keys
 (``bytes_sent``, ...) stay at top level, and the per-rank registry
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["finalize_job", "fold_cluster", "fold_device_stats"]
+__all__ = ["fold_cluster", "fold_device_stats"]
 
 
 def fold_cluster(cluster: Any) -> None:
@@ -70,21 +71,19 @@ def fold_cluster(cluster: Any) -> None:
 
 def fold_device_stats(
     metrics: Any,
-    device_stats: dict[int, Any],
+    device_stats: dict[int, Any],  # rank -> devices.DeviceStats
     device: str,
 ) -> dict[int, dict[str, Any]]:
     """Fold one job's device counters into ``metrics``; build rank stats."""
     stats: dict[int, dict[str, Any]] = {}
     for rank, dev_stats in device_stats.items():
-        snap = dev_stats.snapshot() if hasattr(dev_stats, "snapshot") else dict(
-            dev_stats
-        )
+        snap = dev_stats.snapshot()
         for key, value in snap.items():
             if value:
                 metrics.counter(f"dev.{key}", rank=rank, device=device).inc(
                     value
                 )
-        stats[rank] = dict(snap)
+        stats[rank] = snap
 
     # merge per-rank registry totals next to the raw device counters
     for rank, totals in metrics.by_label("rank").items():
@@ -92,13 +91,3 @@ def fold_device_stats(
             for name, value in totals.items():
                 stats[rank].setdefault(name, value)
     return stats
-
-
-def finalize_job(
-    cluster: Any,
-    device_stats: dict[int, Any],
-    device: str,
-) -> dict[int, dict[str, Any]]:
-    """Fold residual accounting into ``cluster.metrics``; build rank stats."""
-    fold_cluster(cluster)
-    return fold_device_stats(cluster.metrics, device_stats, device)

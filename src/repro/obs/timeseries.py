@@ -79,6 +79,9 @@ class TimeseriesSampler:
         self._prefixes = tuple(n for n in self.include if n.endswith("."))
         self.series: dict[str, deque] = {}
         self.dropped = 0
+        #: snapshots taken (a run whose registry holds none of the
+        #: selected metrics, e.g. p4, takes snapshots but fills no series)
+        self.samples = 0
         self._last_t: Optional[float] = None
 
     @classmethod
@@ -100,6 +103,7 @@ class TimeseriesSampler:
         if self._last_t is not None and now <= self._last_t:
             return
         self._last_t = now
+        self.samples += 1
         totals: dict[str, float] = {}
         for m in self.metrics:
             if not self._selected(m.name):

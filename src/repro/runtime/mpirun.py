@@ -2,34 +2,39 @@
 
 The user-facing entry point is :func:`run_job`: pick a device
 ("p4", "v1", "v2"), a program (a generator function taking an
-:class:`~repro.mpi.api.MPI` context), a process count, and run.  Device
-launchers encapsulate the paper's per-implementation deployments:
+:class:`~repro.mpi.api.MPI` context), a process count, and run.  Each
+device's launch strategy (:mod:`repro.runtime.launch`) encapsulates the
+paper's per-implementation deployment:
 
-* **p4** — computing nodes only, all-to-all direct streams;
+* **p4** — computing nodes only, all-to-all direct streams
+  (:class:`P4Launch`, here);
 * **v1** — computing nodes + reliable Channel Memory nodes (default 1 CM
-  per 4 CNs, the ratio of the paper's Figure 8 setup);
+  per 4 CNs, the ratio of the paper's Figure 8 setup;
+  :class:`~repro.devices.v1.V1Launch`);
 * **v2** — computing nodes + reliable node(s) hosting the dispatcher,
   event logger and checkpoint scheduler, + checkpoint server; full fault
-  tolerance (failure injection, restart, replay).
+  tolerance (failure injection, restart, replay;
+  the :class:`~repro.ft.dispatcher.Dispatcher`).
 
-Launchers for the fault-tolerant devices live in their packages; this
-module wires the common scaffolding (hosts, streams, rank processes) and
-collects :class:`JobResult`.
+``run_job`` is that launcher on a private cluster; the control plane
+runs the same strategies over a shared one.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 from ..devices.p4 import P4Device
 from ..mpi.api import MPI
-from ..obs.collect import finalize_job
-from ..simnet.kernel import Future, all_of
+from ..obs.collect import fold_cluster
+from ..simnet.kernel import Future
 from .cluster import Cluster
 from .config import DEFAULT_TESTBED, TestbedConfig
+from .launch import Instruments, Launch, RankState, Site, finalize
 from .results import JobResult
 
-__all__ = ["run_job", "rank_main"]
+__all__ = ["run_job", "rank_main", "P4Launch"]
 
 Program = Callable[..., Generator[Future, Any, Any]]
 
@@ -75,9 +80,10 @@ def run_job(
     metrics on a simulated-time cadence (``True`` for the default 0.5 s
     interval, a number to override it) into
     ``JobResult.timeseries`` (a
-    :class:`~repro.obs.timeseries.TimeseriesSampler`).  Extra keyword
-    arguments are forwarded to the device launcher (fault schedules,
-    checkpoint policies, event-logger counts, ...).
+    :class:`~repro.obs.timeseries.TimeseriesSampler`).  ``audit_hb=True``
+    (a keyword option) also builds the auditor's happens-before graph.
+    Other keyword arguments are forwarded to the device's launch strategy
+    (fault schedules, checkpoint policies, event-logger counts, ...).
     """
     params = params or {}
     if plane is not None:
@@ -107,104 +113,71 @@ def run_job(
                 "submitting through a control plane"
             )
         return plane.wait(plane.submit(spec))
+    audit_hb = device_kw.pop("audit_hb", False)
+    job = _launcher(device)(program, params, nprocs, **device_kw)
+    cluster = Cluster(cfg, seed=seed, trace=trace)
+    instruments = Instruments(
+        cluster.sim, cluster.tracer, cluster.metrics, audit=audit,
+        audit_hb=audit_hb, profile=profile, timeseries=timeseries,
+    )
+    job.start(Site(cluster))
+    cluster.sim.run_until(job.done, limit=limit)
+    job.teardown()
+    fold_cluster(cluster)
+    return finalize(job, instruments)
+
+
+def _launcher(device: str) -> type[Launch]:
+    """The launch strategy of one device."""
     if device == "p4":
-        return _run_p4(
-            program, nprocs, cfg, params, trace, seed, limit, audit,
-            profile=profile, timeseries=timeseries, **device_kw
-        )
+        return P4Launch
     if device == "v1":
-        from ..devices.v1 import run_v1_job
+        from ..devices.v1 import V1Launch
 
-        return run_v1_job(
-            program, nprocs, cfg, params, trace, seed, limit, audit=audit,
-            profile=profile, timeseries=timeseries, **device_kw,
-        )
+        return V1Launch
     if device == "v2":
-        from ..ft.dispatcher import run_v2_job
+        from ..ft.dispatcher import Dispatcher
 
-        return run_v2_job(
-            program, nprocs, cfg, params, trace, seed, limit, audit=audit,
-            profile=profile, timeseries=timeseries, **device_kw,
-        )
+        return Dispatcher
     raise ValueError(f"unknown device {device!r} (expected p4/v1/v2)")
 
 
-def _run_p4(
-    program: Program,
-    nprocs: int,
-    cfg: TestbedConfig,
-    params: dict[str, Any],
-    trace: bool,
-    seed: int,
-    limit: Optional[float],
-    audit: bool = False,
-    profile: bool = False,
-    timeseries: Any = False,
-) -> JobResult:
-    cluster = Cluster(cfg, seed=seed, trace=trace)
-    sim = cluster.sim
-    profiler = None
-    if profile:
-        from ..obs.profile import KernelProfiler
+class P4Launch(Launch):
+    """MPICH-P4: computing nodes only, all-to-all direct streams."""
 
-        profiler = KernelProfiler()
-        profiler.install(sim)
-    sampler = None
-    if timeseries:
-        from ..obs.timeseries import TimeseriesSampler
+    device = "p4"
 
-        sampler = TimeseriesSampler.from_flag(cluster.metrics, timeseries)
-        sampler.install(sim)
-    auditor = None
-    if audit:
-        from ..obs.audit import ProtocolAuditor
+    def start(self, site: Site) -> None:
+        super().start(site)
+        sim, n = self.sim, self.nprocs
+        hosts = site.hosts or [self.cluster.add_cn(f"cn{r}") for r in range(n)]
+        # the P4 driver's process cannot service receptions while pushing
+        for host in hosts:
+            host.full_duplex = False
+        devices = [
+            P4Device(sim, self.cfg, r, n, hosts[r], tracer=self.tracer)
+            for r in range(n)
+        ]
+        ends: list[dict[int, Any]] = [dict() for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = self.cluster.connect(hosts[i], hosts[j])
+                ends[i][j] = s.end_for(hosts[i])
+                ends[j][i] = s.end_for(hosts[j])
+        self.states = [RankState(r) for r in range(n)]
+        for st in self.states:
+            devices[st.rank].wire(ends[st.rank])
+            st.host, st.incarnation = hosts[st.rank], 0
+            st.mpi = MPI(sim, st.rank, n, devices[st.rank], tracer=self.tracer)
+        self.done = sim.future("p4.job.done")
+        prefix = f"{site.ns.tag}." if site.ns is not None else ""
+        for st in self.states:
+            p = sim.spawn(
+                rank_main(st.mpi, self.program, self.params),
+                name=f"{prefix}rank{st.rank}",
+            )
+            st.host.register(p)
+            p.done.add_done_callback(partial(self._finished, st.rank, 0))
 
-        auditor = ProtocolAuditor().attach(cluster.tracer)
-    hosts = [cluster.add_cn(f"cn{r}", full_duplex=False) for r in range(nprocs)]
-
-    devices = [
-        P4Device(sim, cfg, r, nprocs, hosts[r], tracer=cluster.tracer)
-        for r in range(nprocs)
-    ]
-    # all-to-all streams
-    ends: list[dict[int, Any]] = [dict() for _ in range(nprocs)]
-    for i in range(nprocs):
-        for j in range(i + 1, nprocs):
-            s = cluster.connect(hosts[i], hosts[j])
-            ends[i][j] = s.end_for(hosts[i])
-            ends[j][i] = s.end_for(hosts[j])
-    for r in range(nprocs):
-        devices[r].wire(ends[r])
-
-    mpis = [
-        MPI(sim, r, nprocs, devices[r], tracer=cluster.tracer) for r in range(nprocs)
-    ]
-    procs = []
-    for r in range(nprocs):
-        p = sim.spawn(rank_main(mpis[r], program, params), name=f"rank{r}")
-        hosts[r].register(p)
-        procs.append(p)
-
-    done = all_of(sim, [p.done for p in procs])
-    outcome = sim.run_until(done, limit=limit)
-    if sampler is not None:
-        sampler.sample(sim.now)
-    finish_times = [t for t, _ in outcome]
-    stats = finalize_job(
-        cluster, {r: devices[r].stats for r in range(nprocs)}, "p4"
-    )
-    report = auditor.finish() if auditor is not None else None
-    prof = profiler.finish() if profiler is not None else None
-    return JobResult(
-        nprocs=nprocs,
-        device="p4",
-        elapsed=max(finish_times),
-        results=[res for _, res in outcome],
-        timers={r: mpis[r].timer for r in range(nprocs)},
-        tracer=cluster.tracer,
-        stats=stats,
-        metrics=cluster.metrics,
-        audit=report,
-        profile=prof,
-        timeseries=sampler,
-    )
+    def lost_results(self) -> list[Any]:
+        return [None] * self.nprocs

@@ -8,7 +8,8 @@ Node, Event Logger, Checkpoint Server, Checkpoint Scheduler) and 2) the
 list of options for that role."
 
 This module parses that description and turns it into a deployment plan
-for :func:`repro.ft.dispatcher.run_v2_job`.  Grammar (one machine per
+for V2's launch strategy (:class:`repro.ft.dispatcher.Dispatcher`, via
+``run_job(..., device="v2", plan=...)``).  Grammar (one machine per
 line, ``#`` comments)::
 
     <hostname>  <ROLE>  [key=value ...]

@@ -491,8 +491,10 @@ class Simulator:
         ``probe.sampling`` set, process resumes are timed and reported
         via ``probe.step_done(name, dt)`` for per-service CPU
         attribution.  With no probe installed the run loops below are
-        exactly the uninstrumented ones — dispatch costs nothing — which
-        is the property ``benchmarks/bench_kernel.py`` fences at 2%.
+        exactly the uninstrumented ones, with no hook points: the probe's
+        cost is structurally zero when it is off, so there is nothing to
+        measure (``benchmarks/bench_kernel.py`` budgets the *probed*
+        overhead, 15%).
         """
         self._probe = probe
 
@@ -797,10 +799,6 @@ class Queue:
         else:
             self._watchers.append(fut)
         return fut
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of the queued items (not consumed)."""
-        return list(self._items)
 
     def break_(self, exc: BaseException) -> None:
         """Fail all pending and future gets (peer disconnected/crashed)."""

@@ -10,7 +10,9 @@ plumbing through ``run_job`` with el-ack edges present on a real V2 run.
 
 import pytest
 
+from repro.obs.audit import AuditReport
 from repro.obs.profile import KernelProfiler, classify_service, critical_path
+from repro.obs.timeseries import TimeseriesSampler
 from repro.runtime.mpirun import run_job
 from repro.simnet.kernel import Simulator
 
@@ -153,12 +155,18 @@ def test_run_job_profile_v2_with_critical_path():
 
 
 def test_run_job_profile_p4_and_v1():
+    """Every device gets the same observers: profiler, sampler, auditor."""
     for dev in ("p4", "v1"):
         res = run_job(
             ring, 2, device=dev, params={"rounds": 3, "work": 0.0},
-            profile=True,
+            profile=True, timeseries=True, audit=True,
         )
         assert res.profile is not None and res.profile.events > 0
+        assert isinstance(res.timeseries, TimeseriesSampler)
+        # the periodic snapshot and the one closing the series at job end
+        assert res.timeseries.samples >= 2
+        assert isinstance(res.audit, AuditReport)
+        assert res.audit.clean
 
 
 def test_profiled_run_matches_unprofiled_results():

