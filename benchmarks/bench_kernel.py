@@ -5,11 +5,12 @@ recorded in ``BENCH_kernel.json`` at the repository root:
 
 - **hook cost**: structurally zero, by construction rather than by
   measurement — ``set_probe(None)`` selects an uninstrumented run-loop
-  twin with no hook points at all, and the parity test pins the twins
-  to identical event order.  (The old bench timed a "hooks disabled"
-  configuration separately; after the rewrite that is byte-identical
-  code, and timing it produced exactly the nonsensical −5% "overhead"
-  readings the interleaved methodology exists to avoid.)
+  twin with no hook points at all, and the golden event-order test
+  pins the probed and unprobed twins to identical event order.  (The
+  old bench timed a "hooks disabled" configuration separately; after
+  the rewrite that is byte-identical code, and timing it produced
+  exactly the nonsensical −5% "overhead" readings the interleaved
+  methodology exists to avoid.)
 - **probe cost**: a probed run stays cheap enough to leave on for any
   attribution question (counts exact, timing sampled
   1-in-``sample_every``); budget **15%** over the unprofiled run (the
@@ -123,7 +124,7 @@ def measure_kernel(nprocs: int = 8, klass: str = "A", reps: int = 5) -> dict:
         # hook cost with no probe installed: set_probe(None) selects an
         # uninstrumented run-loop twin, so there is no separate "hooks
         # disabled" configuration left to time
-        "hook_cost": "structural zero (unprobed twin; see kernel parity test)",
+        "hook_cost": "structural zero (unprobed twin; see kernel event-order golden test)",
         "events": best_profile.events,
         "events_per_s": best_profile.events_per_s,
         "seed_events_per_s": SEED_EVENTS_PER_S,

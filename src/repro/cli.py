@@ -167,8 +167,14 @@ def _obs_parent() -> argparse.ArgumentParser:
     return sp
 
 
-def _write_obs(args: argparse.Namespace, runs: list[tuple[str, Any]]) -> None:
-    """Honour ``--trace-out`` / ``--metrics-out`` for one or more runs."""
+def _finish_obs(args: argparse.Namespace, runs: list[tuple[str, Any]]) -> None:
+    """Honour ``--audit`` (print each run's verdict), then ``--trace-out``
+    / ``--metrics-out``, for one or more runs."""
+    if getattr(args, "audit", False):
+        for label, res in runs:
+            if len(runs) > 1:
+                print(f"\n[{label}]")
+            print(format_audit(res.audit))
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     if trace_out:
@@ -222,24 +228,12 @@ def _print_detect_latency(res: Any) -> None:
         print(format_table(["source", "n", "mean s", "max s"], sorted(rows)))
 
 
-def _print_audits(args: argparse.Namespace, runs: list[tuple[str, Any]]) -> None:
-    """Honour ``--audit`` by printing each run's verdict."""
-    if not getattr(args, "audit", False):
-        return
-    for label, res in runs:
-        if len(runs) > 1:
-            print(f"\n[{label}]")
-        print(format_audit(res.audit))
-
-
 def _cmd_pingpong(args: argparse.Namespace) -> int:
     devices = _parse_devices(args.devices)
     if devices is None:
         return 2
     sizes = [int(s) for s in args.sizes.split(",")]
-    job_kw: dict[str, Any] = {"trace": True} if args.trace_out else {}
-    if args.audit:
-        job_kw["audit"] = True
+    job_kw = dict(trace=bool(args.trace_out), audit=args.audit)
     runs: list[tuple[str, Any]] = []
     rows = []
     for nbytes in sizes:
@@ -254,16 +248,13 @@ def _cmd_pingpong(args: argparse.Namespace) -> int:
     for dev in devices:
         headers += [f"{dev} us", f"{dev} MB/s"]
     print(format_table(headers, rows))
-    _print_audits(args, runs)
-    _write_obs(args, runs)
+    _finish_obs(args, runs)
     return 0
 
 
 def _cmd_burst(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    job_kw: dict[str, Any] = {"trace": True} if args.trace_out else {}
-    if args.audit:
-        job_kw["audit"] = True
+    job_kw = dict(trace=bool(args.trace_out), audit=args.audit)
     runs: list[tuple[str, Any]] = []
     rows = []
     for nbytes in sizes:
@@ -275,8 +266,7 @@ def _cmd_burst(args: argparse.Namespace) -> int:
         v2 = mv2["bandwidth_MBps"]
         rows.append([nbytes, p4, v2, v2 / p4])
     print(format_table(["bytes", "P4 MB/s", "V2 MB/s", "V2/P4"], rows))
-    _print_audits(args, runs)
-    _write_obs(args, runs)
+    _finish_obs(args, runs)
     return 0
 
 
@@ -308,8 +298,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
               mops(spec.total_flops, res)]],
         )
     )
-    _print_audits(args, [(f"{args.name}-{args.klass}", res)])
-    _write_obs(args, [(f"{args.name}-{args.klass}", res)])
+    _finish_obs(args, [(f"{args.name}-{args.klass}", res)])
     return 0
 
 
@@ -343,13 +332,34 @@ def _parse_service_faults(spec: str) -> list[tuple[float, str, float]]:
     return out
 
 
-def _cmd_faulty(args: argparse.Namespace) -> int:
-    from .ft.failure import (
-        ChurnFaults,
-        PartitionFaults,
-        RandomFaults,
-        ServiceFaults,
+#: checkpointing under injected rank kills: continuous rounds with the
+#: random policy, so a restarted rank finds a recent image
+_FT_CKPT = dict(checkpointing=True, ckpt_policy="random", ckpt_continuous=True)
+
+
+def _churn(args: argparse.Namespace) -> Any:
+    """The Weibull churn plan of ``--faults/--mean-lifetime/--shape``."""
+    from .ft.failure import ChurnFaults
+
+    return ChurnFaults(
+        mean_lifetime=args.mean_lifetime, shape=args.shape,
+        max_faults=args.faults, seed=args.seed,
     )
+
+
+def _random_faults_kw(args: argparse.Namespace) -> dict[str, Any]:
+    """``--faults N``: N checkpointed kills, one per ``--fault-interval``."""
+    from .ft.failure import RandomFaults
+
+    if not args.faults:
+        return {}
+    return dict(_FT_CKPT, faults=RandomFaults(
+        interval=args.fault_interval, count=args.faults, seed=args.seed,
+    ))
+
+
+def _cmd_faulty(args: argparse.Namespace) -> int:
+    from .ft.failure import PartitionFaults, RandomFaults, ServiceFaults
 
     if args.device not in ("v1", "v2"):
         print(
@@ -388,12 +398,7 @@ def _cmd_faulty(args: argparse.Namespace) -> int:
     plans: list[Any] = []
     if args.faults:
         if args.plan == "churn":
-            plans.append(
-                ChurnFaults(
-                    mean_lifetime=args.mean_lifetime, shape=args.shape,
-                    max_faults=args.faults, seed=args.seed,
-                )
-            )
+            plans.append(_churn(args))
         else:
             interval = base.elapsed / max(1, args.faults + 1)
             plans.append(
@@ -406,11 +411,7 @@ def _cmd_faulty(args: argparse.Namespace) -> int:
         plans.append(ServiceFaults(service_sched))
     # V1's recovery is its own (restart-from-scratch + CM replay):
     # checkpointing kwargs belong to the v2 launcher only
-    ckpt_kw = (
-        dict(checkpointing=True, ckpt_policy="random", ckpt_continuous=True)
-        if args.device == "v2"
-        else {}
-    )
+    ckpt_kw = _FT_CKPT if args.device == "v2" else {}
     res = run_job(
         mod.program, args.nprocs, device=args.device, cfg=cfg,
         params={"klass": args.klass},
@@ -462,8 +463,7 @@ def _cmd_faulty(args: argparse.Namespace) -> int:
         )
     if res.restarts:
         _print_detect_latency(res)
-    _print_audits(args, [(f"{args.name}-{args.klass}-faulty", res)])
-    _write_obs(args, [(f"{args.name}-{args.klass}-faulty", res)])
+    _finish_obs(args, [(f"{args.name}-{args.klass}-faulty", res)])
     if args.audit and res.audit is not None and not res.audit.clean:
         return 1
     return 0
@@ -495,8 +495,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(format_stats(res.metrics, prefix=args.prefix, top=args.top))
     if args.prefix in (None, "disp."):
         _print_detect_latency(res)
-    _print_audits(args, [(f"{args.name}-{args.klass}", res)])
-    _write_obs(args, [(f"{args.name}-{args.klass}", res)])
+    _finish_obs(args, [(f"{args.name}-{args.klass}", res)])
     return 0
 
 
@@ -505,11 +504,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     mod = nas.KERNELS[args.name]
     use_hb = args.device == "v2" and not args.no_critical
-    hb_kw = {"audit_hb": True} if use_hb else {}  # v2-only keyword
     res = run_job(
         mod.program, args.nprocs, device=args.device,
         params={"klass": args.klass}, limit=1e8, seed=args.seed,
-        profile=True, audit=use_hb, **hb_kw,
+        profile=True, audit=use_hb, audit_hb=use_hb,
     )
     critical = None
     if use_hb and res.audit is not None:
@@ -530,26 +528,33 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_mttr(args: argparse.Namespace) -> int:
-    from .ft.failure import ChurnFaults, ExplicitFaults
+    from .ft.failure import ExplicitFaults
     from .runtime.config import DEFAULT_TESTBED
 
     mod = nas.KERNELS[args.name]
     cfg = _store_cfg(args, DEFAULT_TESTBED)
-    if args.kill_at:
-        faults: Any = ExplicitFaults(
+    # 0 samples nothing, which leaves --timeseries-out nothing to write
+    if args.sample_interval < 0 or (
+        args.timeseries_out and not args.sample_interval
+    ):
+        print(
+            f"repro: bad --sample-interval {args.sample_interval}: must be "
+            "> 0 (or 0 to sample nothing, without --timeseries-out)",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        faults = ExplicitFaults(
             [(float(t), int(r)) for t, r in
              (part.split(":") for part in args.kill_at.split(","))]
-        )
-    else:
-        faults = ChurnFaults(
-            mean_lifetime=args.mean_lifetime, shape=args.shape,
-            max_faults=args.faults, seed=args.seed,
-        )
+        ) if args.kill_at else _churn(args)
+    except ValueError as exc:
+        print(f"repro: bad fault spec: {exc}", file=sys.stderr)
+        return 2
     res = run_job(
         mod.program, args.nprocs, device="v2", cfg=cfg,
         params={"klass": args.klass}, limit=1e8, seed=args.seed,
-        trace=True, audit=args.audit,
-        checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
+        trace=True, audit=args.audit, **_FT_CKPT,
         ckpt_interval=args.ckpt_interval,
         faults=faults,
         timeseries=args.sample_interval,
@@ -576,37 +581,24 @@ def _cmd_mttr(args: argparse.Namespace) -> int:
     if args.timeseries_out:
         n = res.timeseries.write_jsonl(args.timeseries_out)
         print(f"wrote {n} time-series samples to {args.timeseries_out}")
-    _print_audits(args, [(f"{args.name}-{args.klass}-mttr", res)])
-    _write_obs(args, [(f"{args.name}-{args.klass}-mttr", res)])
+    _finish_obs(args, [(f"{args.name}-{args.klass}-mttr", res)])
     if args.audit and res.audit is not None and not res.audit.clean:
         return 1
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .ft.failure import RandomFaults
-
+    if args.faults and args.device != "v2":
+        print("repro: fault injection requires --device v2", file=sys.stderr)
+        return 2
     mod = nas.KERNELS[args.name]
-    job_kw: dict[str, Any] = {}
-    if args.faults:
-        if args.device != "v2":
-            print(
-                "repro: fault injection requires --device v2",
-                file=sys.stderr,
-            )
-            return 2
-        job_kw.update(
-            checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
-            faults=RandomFaults(interval=args.fault_interval,
-                                count=args.faults, seed=args.seed),
-        )
     res = run_job(
         mod.program, args.nprocs, device=args.device,
-        params={"klass": args.klass}, limit=1e8, trace=True, **job_kw,
+        params={"klass": args.klass}, limit=1e8, trace=True,
+        **_random_faults_kw(args),
     )
     args.trace_out = args.out  # reuse the shared writer
-    args.metrics_out = getattr(args, "metrics_out", None)
-    _write_obs(args, [(f"{args.name}-{args.klass}", res)])
+    _finish_obs(args, [(f"{args.name}-{args.klass}", res)])
     print(f"wrote {len(res.tracer)} trace records to {args.out}")
     if args.timeline:
         print(format_timeline(recovery_timeline(res.tracer)))
@@ -614,20 +606,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from .ft.failure import RandomFaults
-
     mod = nas.KERNELS[args.name]
-    job_kw: dict[str, Any] = {}
-    if args.faults:
-        job_kw.update(
-            checkpointing=True, ckpt_policy="random", ckpt_continuous=True,
-            faults=RandomFaults(interval=args.fault_interval,
-                                count=args.faults, seed=args.seed),
-        )
     res = run_job(
         mod.program, args.nprocs, device="v2",
         params={"klass": args.klass}, limit=1e8, seed=args.seed,
-        audit=True, audit_hb=bool(args.hb_out), **job_kw,
+        audit=True, audit_hb=bool(args.hb_out), **_random_faults_kw(args),
     )
     print(format_audit(res.audit))
     if args.json_out:

@@ -78,11 +78,12 @@ def classify_service(name: str) -> str:
 
 
 def _kind_name(fn: Callable) -> str:
-    """A stable, human-readable label for a heap callback.
+    """A stable, human-readable label for an ``EV_CALL`` callable.
 
-    Heap entries are mostly fresh closures (``timeout`` lambdas, stream
-    ``arrive`` closures, process bootstrap lambdas), so the label comes
-    from the *definition site*: the qualname with module noise stripped.
+    ``Simulator.at``/``after`` callables are mostly fresh closures
+    (partition heals, service relaunches, plane arrivals), so the label
+    comes from the *definition site*: the qualname with module noise
+    stripped.
     """
     func = getattr(fn, "__func__", fn)
     qual = getattr(func, "__qualname__", None)
@@ -151,11 +152,12 @@ class KernelProfiler:
         #: process resumes triggered inside it are timed (Process._step
         #: reads this flag instead of paying a method call per resume)
         self.sampling = False
-        # definition-site key -> [label, count, timed_count, wall_s]
+        # kind key (slot int, or an EV_CALL callable's code object) ->
+        # [label, count, timed_count, wall_s]
         self._kinds: dict[Any, list] = {}
-        # slot -> the same stats lists, indexed by position: the flat
-        # dispatch path pays a list index instead of a dict probe
-        self._flat: list = []
+        # slot -> the same stats lists, indexed by position: a dispatch
+        # pays a list index instead of a dict probe
+        self._by_slot: list = []
         self._left = sample_every  # dispatches until the next sample
         self._q_sum = 0
         self._q_max = 0
@@ -234,15 +236,53 @@ class KernelProfiler:
         )
 
     # -- the probe interface (called by the kernel's probed loops) --------
-    def dispatch(self, time: float, fn: Callable[[], None], qsize: int) -> None:
+    def dispatch(
+        self, time: float, slot: int, a: Any, b: Any, qsize: int
+    ) -> None:
         """Count, classify and (sampled) time one popped event.
 
-        This runs once per kernel event: the common case is a dict
-        lookup, a count bump and a countdown decrement.  One dispatch in
+        This runs once per kernel event: the common case is a list index,
+        a count bump and a countdown decrement.  Slot stats live in a
+        list indexed by slot number and are labelled from the kernel's
+        ``SLOT_NAMES`` registry; ``EV_CALL`` callables are classified by
+        their definition site instead, keyed by code object (which never
+        collides with the int slot keys).  One dispatch in
         ``sample_every`` additionally records the heap depth, times the
         handler, and raises :attr:`sampling` so process resumes executed
-        inside it land in the service decomposition.
+        inside it land in the service decomposition.  Execution always
+        goes through ``run_slot``.
         """
+        if slot:
+            by_slot = self._by_slot
+            stats = by_slot[slot] if slot < len(by_slot) else None
+            if stats is None:
+                by_slot.extend([None] * (slot + 1 - len(by_slot)))
+                stats = by_slot[slot] = self._kinds[slot] = [
+                    SLOT_NAMES.get(slot, f"slot{slot}"), 0, 0, 0.0
+                ]
+        else:
+            stats = self._call_stats(a)
+        stats[1] += 1
+        left = self._left - 1
+        if left:
+            self._left = left
+            run_slot(slot, a, b)
+        else:
+            self._left = self.sample_every
+            self._q_sum += qsize
+            self._q_n += 1
+            if qsize > self._q_max:
+                self._q_max = qsize
+            self.sampling = True
+            t0 = perf_counter()
+            run_slot(slot, a, b)
+            dt = perf_counter() - t0
+            self.sampling = False
+            stats[3] += dt
+            stats[2] += 1
+
+    def _call_stats(self, fn: Callable[[], None]) -> list:
+        """The stats list of an ``EV_CALL`` callable's definition site."""
         try:
             code = fn.__code__
         except AttributeError:
@@ -253,65 +293,7 @@ class KernelProfiler:
         stats = self._kinds.get(code)
         if stats is None:
             stats = self._kinds[code] = [_kind_name(fn), 0, 0, 0.0]
-        stats[1] += 1
-        left = self._left - 1
-        if left:
-            self._left = left
-            fn()
-        else:
-            self._left = self.sample_every
-            self._q_sum += qsize
-            self._q_n += 1
-            if qsize > self._q_max:
-                self._q_max = qsize
-            self.sampling = True
-            t0 = perf_counter()
-            fn()
-            dt = perf_counter() - t0
-            self.sampling = False
-            stats[3] += dt
-            stats[2] += 1
-
-    def dispatch_flat(
-        self, time: float, slot: int, a: Any, b: Any, qsize: int
-    ) -> None:
-        """Count, classify and (sampled) time one popped *flat* event.
-
-        The twin of :meth:`dispatch` for slot-dispatched events: the kind
-        key is the slot integer (int keys never collide with the code
-        objects :meth:`dispatch` uses), labelled from the kernel's
-        ``SLOT_NAMES`` registry, and execution goes through ``run_slot``.
-        Slot stats live in a list indexed by slot number — this runs once
-        per kernel event, and a list index beats a dict probe there.
-        """
-        flat = self._flat
-        if slot < len(flat):
-            stats = flat[slot]
-        else:
-            stats = None
-        if stats is None:
-            flat.extend([None] * (slot + 1 - len(flat)))
-            stats = flat[slot] = self._kinds[slot] = [
-                SLOT_NAMES.get(slot, f"slot{slot}"), 0, 0, 0.0
-            ]
-        stats[1] += 1
-        left = self._left - 1
-        if left:
-            self._left = left
-            run_slot(slot, a, b)
-        else:
-            self._left = self.sample_every
-            self._q_sum += qsize
-            self._q_n += 1
-            if qsize > self._q_max:
-                self._q_max = qsize
-            self.sampling = True
-            t0 = perf_counter()
-            run_slot(slot, a, b)
-            dt = perf_counter() - t0
-            self.sampling = False
-            stats[3] += dt
-            stats[2] += 1
+        return stats
 
     def step_done(self, name: str, dt: float) -> None:
         """Account one timed process resume under its service."""

@@ -24,7 +24,7 @@ Heap entries are flat ``(time, seq, slot, a, b)`` tuples.  ``slot``
 selects the handler; the hot slots are inlined in the run loops so the
 common events cost no closure allocation and no attribute lookups:
 
-* ``EV_CALL`` (0) — legacy callable: run ``a()``.  Everything scheduled
+* ``EV_CALL`` (0) — callable: run ``a()``.  Everything scheduled
   through :meth:`Simulator.at`/:meth:`Simulator.after` uses this slot.
 * ``EV_RESOLVE`` (1) — resolve :class:`Future` ``a`` with value ``b``
   unless it is already done (the :meth:`Simulator.timeout` fast path).
@@ -34,12 +34,9 @@ common events cost no closure allocation and no attribute lookups:
 
 Subsystems register additional slots with :func:`register_slot`; the run
 loops dispatch those through the module-level handler table with a plain
-list index.  The module flag :data:`FLAT_DISPATCH` (mirrored per-instance
-as ``Simulator.flat``) selects between the flat fast path and the legacy
-closure forms at every call site; both schedule exactly one heap entry at
-exactly the same point, so event order — ``(time, seq)`` for every
-event — is byte-identical between the two modes.  The parity test in
-``tests/test_kernel_parity.py`` holds us to that.
+list index.  Event order — ``(time, seq)`` for every event — is pinned by
+the golden digests in ``tests/test_kernel_event_order_golden.py``, for
+the unprobed and the probed run loops alike.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ __all__ = [
     "EV_RESOLVE",
     "EV_START",
     "EV_WAKE",
-    "FLAT_DISPATCH",
     "SLOT_NAMES",
     "register_slot",
     "run_slot",
@@ -87,19 +83,13 @@ class Killed(SimError):
 
 # -- the flat-event slot table ------------------------------------------
 
-#: Run-loop fast path on (the default) vs. legacy closure scheduling
-#: (the reference twin the parity test compares against).  Read once per
-#: Simulator at construction; flip the module global *before* building a
-#: simulator to select a mode.
-FLAT_DISPATCH = True
-
 EV_CALL = 0  # a: callable        b: unused   — run a()
 EV_RESOLVE = 1  # a: Future      b: value    — a.resolve_if_pending(b)
 EV_START = 2  # a: Process       b: unused   — first step of a process
 EV_WAKE = 3  # a: Process        b: value    — resume a sleeping process
 
-#: slot → human label, used by the kernel profiler to classify flat
-#: events (``KernelProfiler.dispatch_flat``) without touching handlers
+#: slot → human label, used by the kernel profiler to classify events
+#: (``KernelProfiler.dispatch``) without touching handlers
 SLOT_NAMES: dict[int, str] = {
     EV_CALL: "call",
     EV_RESOLVE: "timeout",
@@ -350,10 +340,7 @@ class Process:
         # binding a method per block is measurable at CG event rates
         self._resume_cb = self._resume
         sim._processes.append(self)
-        if sim.flat:
-            sim.sched(sim.now, EV_START, self)
-        else:
-            sim.after(0.0, lambda: self._step(None, None))
+        sim.sched(sim.now, EV_START, self)
 
     def kill(self) -> None:
         """Abruptly terminate the process (models a crash).
@@ -464,9 +451,8 @@ class Process:
 class Simulator:
     """The event loop: a heap of flat ``(time, seq, slot, a, b)`` entries."""
 
-    def __init__(self, flat: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.flat: bool = FLAT_DISPATCH if flat is None else flat
         self._heap: list[tuple[float, int, int, Any, Any]] = []
         self._seq = 0
         self._processes: list[Process] = []
@@ -483,11 +469,9 @@ class Simulator:
         """Install (or clear, with ``None``) the kernel probe.
 
         A probe observes the event loop at dispatch granularity: for
-        legacy callable events (slot ``EV_CALL``),
-        ``probe.dispatch(time, fn, qsize)`` is called *instead of*
-        ``fn()`` (the probe must invoke ``fn``); for every other slot,
-        ``probe.dispatch_flat(time, slot, a, b, qsize)`` is called and
-        must execute the event via :func:`run_slot`.  While the probe has
+        every popped event ``probe.dispatch(time, slot, a, b, qsize)`` is
+        called *instead of* the handler, and the probe must execute the
+        event via :func:`run_slot`.  While the probe has
         ``probe.sampling`` set, process resumes are timed and reported
         via ``probe.step_done(name, dt)`` for per-service CPU
         attribution.  With no probe installed the run loops below are
@@ -526,10 +510,7 @@ class Simulator:
         if delay < 0:
             raise SimError(f"negative delay {delay}")
         fut = Future(self, name="timeout")
-        if self.flat:
-            self.sched(self.now + delay, EV_RESOLVE, fut, value)
-        else:
-            self.at(self.now + delay, lambda: fut.resolve_if_pending(value))
+        self.sched(self.now + delay, EV_RESOLVE, fut, value)
         return fut
 
     def pause(self, delay: float, value: Any = None) -> Any:
@@ -541,17 +522,13 @@ class Simulator:
         the running process (the kernel stashes the wake time on the
         simulator and the next yield consumes it); for anything fancier
         — handing the future around, racing it in ``any_of`` — use
-        :meth:`timeout`.  In legacy dispatch mode this *is*
-        :meth:`timeout`, so call sites stay mode-agnostic and event
-        order stays byte-identical between the modes.
+        :meth:`timeout`.
         """
-        if self.flat:
-            if delay < 0:
-                raise SimError(f"negative delay {delay}")
-            self._pause_time = self.now + delay
-            self._pause_value = value
-            return _PAUSE
-        return self.timeout(delay, value)
+        if delay < 0:
+            raise SimError(f"negative delay {delay}")
+        self._pause_time = self.now + delay
+        self._pause_value = value
+        return _PAUSE
 
     def future(self, name: str = "") -> Future:
         """Allocate an unresolved future."""
@@ -658,10 +635,8 @@ class Simulator:
         return fut.value
 
     # probed twins of the two run loops: identical control flow, with
-    # every dispatch routed through the probe (legacy callables through
-    # ``dispatch``, flat slots through ``dispatch_flat``).  Kept separate
-    # so the default loops above stay byte-for-byte the uninstrumented
-    # ones.
+    # every dispatch routed through ``probe.dispatch``.  Kept separate so
+    # the default loops above stay byte-for-byte the uninstrumented ones.
     def _run_probed(self, until: Optional[float]) -> None:
         probe = self._probe
         heap = self._heap
@@ -674,11 +649,7 @@ class Simulator:
                 break
             pop(heap)
             self.now = time
-            slot = entry[2]
-            if slot == 0:
-                probe.dispatch(time, entry[3], len(heap))
-            else:
-                probe.dispatch_flat(time, slot, entry[3], entry[4], len(heap))
+            probe.dispatch(time, entry[2], entry[3], entry[4], len(heap))
             if self._crashes:
                 proc, err = self._crashes[0]
                 raise SimError(f"process {proc.name!r} crashed") from err
@@ -698,11 +669,7 @@ class Simulator:
                     f"{fut.name!r} (now={time})"
                 )
             self.now = time
-            slot = entry[2]
-            if slot == 0:
-                probe.dispatch(time, entry[3], len(heap))
-            else:
-                probe.dispatch_flat(time, slot, entry[3], entry[4], len(heap))
+            probe.dispatch(time, entry[2], entry[3], entry[4], len(heap))
             if self._crashes:
                 proc, err = self._crashes[0]
                 raise SimError(f"process {proc.name!r} crashed") from err

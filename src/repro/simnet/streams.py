@@ -45,8 +45,8 @@ def _arrive(end: "StreamEnd", segment: tuple) -> None:
         end._deliver(segment)
 
 
-#: the flat-dispatch slot for segment delivery: ``(EV_ARRIVE, receiving
-#: end, segment)`` heap entries replace the per-segment arrive closures
+#: the kernel slot for segment delivery: ``(EV_ARRIVE, receiving end,
+#: segment)`` heap entries, one per transferred frame
 EV_ARRIVE = register_slot(_arrive, "streams.arrive")
 
 
@@ -84,25 +84,12 @@ class StreamEnd:
         self, nbytes: int, charge: int, payload: Any, bulk: bool, nsegs: int
     ) -> None:
         """Hand one (possibly coalesced) frame to the network."""
-        net = self.stream.net
         peer = self.peer
-        segment = (nbytes, charge, payload)
-        if net.sim.flat:
-            net.transfer(
-                self.host, peer.host, nbytes, (EV_ARRIVE, peer, segment),
-                bulk=bulk, segments=nsegs,
-            )
-        else:
-            stream = self.stream
-
-            def arrive() -> None:
-                if stream.dead or peer.broken is not None:
-                    return  # dropped on the floor: crash during transfer
-                peer._deliver(segment)
-
-            net.transfer(
-                self.host, peer.host, nbytes, arrive, bulk=bulk, segments=nsegs
-            )
+        self.stream.net.transfer(
+            self.host, peer.host, nbytes,
+            (EV_ARRIVE, peer, (nbytes, charge, payload)),
+            bulk=bulk, segments=nsegs,
+        )
         self.bytes_written += nbytes
 
     def write(

@@ -281,3 +281,22 @@ def test_profile_command_p4_skips_critical_path(capsys):
     assert rc == 0
     assert "events/s" in out
     assert "critical path" not in out  # no hb graph outside v2
+
+
+@pytest.mark.parametrize("interval, ts_out", [("0", True), ("-1", False)])
+def test_mttr_rejects_bad_sample_interval(interval, ts_out, tmp_path, capsys):
+    ts = tmp_path / "ts.jsonl"
+    rc = main(["mttr", "cg", "--class", "T", "-n", "2", "--kill-at", "0.05:1",
+               "--sample-interval", interval,
+               *(["--timeseries-out", str(ts)] if ts_out else [])])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("repro: ") and "--sample-interval" in err
+    assert not ts.exists()
+
+
+def test_mttr_rejects_malformed_kill_schedule(capsys):
+    rc = main(["mttr", "cg", "--class", "T", "-n", "2", "--kill-at", "1.0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("repro: bad fault spec")
