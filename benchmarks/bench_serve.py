@@ -21,6 +21,13 @@ gated:
   ``BENCH_serve.json`` baseline by more than ``REGRESSION_BUDGET``
   (simulated time on a fixed seed: deterministic).
 
+Memory is recorded next to makespan, not gated: ``peak_rss_mb`` is the
+process's peak resident set (``ru_maxrss``) after the storm, and
+``sim_processes_after_drain`` the length of the simulator's process
+list once every job has finished — the plane keeps only live entries
+(plus a small sweep slack), so it stays far below the thousands of
+processes the storm spawned.
+
 Results land in ``BENCH_serve.json`` at the repository root (the CI
 artifact and the next baseline).  Run as a pytest benchmark
 (``pytest benchmarks/`` — *not* part of the tier-1 suite) or directly:
@@ -32,6 +39,7 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+import resource
 import sys
 
 from repro.analysis.report import Report, format_table
@@ -116,7 +124,9 @@ def measure_serve() -> dict:
     )
     handles = [plane.submit(spec) for spec in specs]
     plane.drain()
+    procs_after_drain = len(plane.sim._processes)
     summary = plane.finish()
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     shares = _saturation_shares(handles)
     weight_total = sum(WEIGHTS.values())
@@ -152,6 +162,8 @@ def measure_serve() -> dict:
             1 for h in faulty if h.result.restarts < 1
         ),
         "tenants": per_tenant,
+        "peak_rss_mb": round(peak_rss_mb, 1),
+        "sim_processes_after_drain": procs_after_drain,
         "fairness_budget": FAIRNESS_BUDGET,
         "regression_budget": REGRESSION_BUDGET,
     }
@@ -234,7 +246,9 @@ def bench_serve():
         f"{out['completed']}/{out['jobs']} jobs in {out['makespan_s']:.2f} "
         f"simulated s ({out['v2_jobs']} on v2, {out['faulted_jobs']} "
         f"killed and recovered with {out['total_restarts']} restarts); "
-        f"{out['audit_violations']} audit violations"
+        f"{out['audit_violations']} audit violations; peak RSS "
+        f"{out['peak_rss_mb']:.1f} MB, {out['sim_processes_after_drain']} "
+        f"processes held after the drain"
     )
     record_report(rep)
     assert not problems, "; ".join(problems)
@@ -254,6 +268,8 @@ if __name__ == "__main__":
     print(
         f"OK: {out['completed']}/{out['jobs']} jobs, "
         f"{out['audit_violations']} violations, "
-        f"makespan {out['makespan_s']:.2f}s"
+        f"makespan {out['makespan_s']:.2f}s, peak RSS "
+        f"{out['peak_rss_mb']:.1f} MB, "
+        f"{out['sim_processes_after_drain']} processes after the drain"
     )
     sys.exit(0)

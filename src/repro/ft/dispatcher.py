@@ -501,8 +501,10 @@ class Dispatcher(Launch):
         sees a finished job, then withdraw the control listener and the
         scheduler, reclaim the machines, stop routing the shared
         services' traces (the reclaim's ``store.gc`` sweep is end-of-job
-        bookkeeping, not part of the audited history) and evict the
-        job's keys.
+        bookkeeping, not part of the audited history), evict the job's
+        keys and named RNG streams, and leave the job's tracer — the
+        submitter keeps it in the result, and the subscription would
+        keep the whole rank table alive with it.
         """
         if self.site.plane is None:
             return
@@ -513,6 +515,8 @@ class Dispatcher(Launch):
         super().teardown()
         self.site.plane.router.unregister(self.site.ns.tag)
         self._evict()
+        self.cluster.rng.evict(self.rng_ns)
+        self.tracer.unsubscribe(self._note_caught_up)
 
     def extras(self) -> dict[str, Any]:
         out: dict[str, Any] = {

@@ -33,7 +33,10 @@ def fold_cluster(cluster: Any) -> None:
 
     Must run exactly once per cluster — the floats it drains are
     cumulative, so folding per job on a shared cluster would double
-    count every byte the earlier jobs moved.
+    count every byte the earlier jobs moved.  Window stalls come from
+    two places: each host's retired-stream floats (streams swept off
+    the host lists, see :meth:`~repro.simnet.streams.Stream.retire`)
+    and the ends of the streams still listed.
     """
     m = cluster.metrics
     net = cluster.net
@@ -55,8 +58,13 @@ def fold_cluster(cluster: Any) -> None:
             m.counter("nic.tx_busy_s", host=host.name).inc(host.nic_tx_busy_s)
         if host.nic_rx_busy_s:
             m.counter("nic.rx_busy_s", host=host.name).inc(host.nic_rx_busy_s)
+        if host.stream_stall_s:  # streams already retired off the lists
+            m.counter("stream.stall_s", host=host.name).inc(
+                host.stream_stall_s
+            )
+            m.counter("stream.stalls", host=host.name).inc(host.stream_stalls)
         for stream in host._streams:
-            if id(stream) in seen_streams:
+            if stream.retired or id(stream) in seen_streams:
                 continue
             seen_streams.add(id(stream))
             for end in (stream.a, stream.b):

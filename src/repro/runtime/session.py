@@ -42,6 +42,7 @@ from typing import Any, Callable, Generator, Optional
 
 from ..obs.registry import Metrics
 from ..simnet.kernel import Future, Simulator
+from ..simnet.livelist import LiveList, process_list
 from ..simnet.node import Host, HostDown
 from ..simnet.streams import Disconnected, StreamEnd
 from ..simnet.trace import Tracer
@@ -339,6 +340,11 @@ class Session:
         )
 
 
+def _conn_list() -> LiveList:
+    """A service's accepted connections, forgetting the dead ones."""
+    return LiveList(lambda end: not end.stream.dead)
+
+
 class ServiceBase:
     """The listen/accept-loop/unlisten lifecycle every service shares.
 
@@ -353,6 +359,12 @@ class ServiceBase:
     and teardown.  ``metric_ns`` names the service's metric/trace
     namespace for protocol-error accounting (``<ns>.protocol_errors`` /
     ``<ns>.protocol_error``).
+
+    The service tracks its processes and accepted connections for
+    ``stop()`` in two :class:`~repro.simnet.livelist.LiveList` lists:
+    finished processes and dead connections are swept out as new ones
+    arrive, so a long-lived shared server (the control plane's EL shards
+    and store replicas) does not pin every job it ever served.
     """
 
     metric_ns = "svc"
@@ -378,8 +390,8 @@ class ServiceBase:
             f"{self.metric_ns}.protocol_errors", server=name
         )
         self._acceptor: Optional[Acceptor] = None
-        self._procs: list = []
-        self._conns: list[StreamEnd] = []
+        self._procs = process_list()
+        self._conns = _conn_list()
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -419,10 +431,10 @@ class ServiceBase:
         if self._acceptor is not None:
             self.fabric.unlisten(self.name, self._acceptor)
             self._acceptor = None
-        procs, self._procs = self._procs, []
+        procs, self._procs = self._procs, process_list()
         for p in procs:
             p.kill()
-        conns, self._conns = self._conns, []
+        conns, self._conns = self._conns, _conn_list()
         for end in conns:
             if not end.stream.dead:
                 end.stream.break_both(cause)

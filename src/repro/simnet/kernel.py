@@ -46,6 +46,8 @@ from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from .livelist import process_list
+
 __all__ = [
     "SimError",
     "DeadlockError",
@@ -455,7 +457,9 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, int, Any, Any]] = []
         self._seq = 0
-        self._processes: list[Process] = []
+        #: the live processes, for :meth:`blocked_processes` (finished
+        #: ones are swept out as spawning goes on)
+        self._processes = process_list()
         self._crashes: list[tuple[Process, BaseException]] = []
         self._stopped = False
         self._probe: Optional[Any] = None
@@ -686,7 +690,13 @@ class Simulator:
 
     # -- diagnostics -----------------------------------------------------
     def blocked_processes(self) -> list[str]:
-        """Human-readable list of alive processes and their waits."""
+        """Human-readable list of alive processes and their waits.
+
+        Walks the simulator's process list, which keeps every live
+        process in spawn order; finished processes are dropped from it
+        in amortized sweeps (see :class:`~repro.simnet.livelist.LiveList`)
+        and never show up here anyway.
+        """
         out = []
         for p in self._processes:
             if p.alive and p._waiting_on is not None:

@@ -18,11 +18,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from .kernel import Process, Simulator
+from .livelist import LiveList, process_list
 
 if TYPE_CHECKING:  # pragma: no cover
     from .streams import Stream
 
 __all__ = ["Host", "HostDown"]
+
+
+def _stream_list() -> LiveList:
+    """A host's stream list: dead streams get swept out, retired first."""
+    return LiveList(lambda s: not s.dead, lambda s: s.retire())
 
 
 class HostDown(Exception):
@@ -65,8 +71,13 @@ class Host:
         # at job end; plain floats keep the reservation path allocation-free)
         self.nic_tx_busy_s = 0.0
         self.nic_rx_busy_s = 0.0
-        self._processes: list[Process] = []
-        self._streams: list["Stream"] = []
+        # window-stall accounting of this host's stream ends whose
+        # streams died and were swept off a host list (folded at job
+        # end like the NIC floats; see ``Stream.retire``)
+        self.stream_stall_s = 0.0
+        self.stream_stalls = 0
+        self._processes = process_list()
+        self._streams = _stream_list()
         self.on_crash: list[Callable[["Host"], None]] = []
 
     #: frames below this size never couple tx/rx on a half-duplex
@@ -119,13 +130,25 @@ class Host:
 
     # -- process / stream registry ---------------------------------------
     def register(self, proc: Process) -> None:
-        """Bind a simulated process to this machine (dies with it)."""
+        """Bind a simulated process to this machine (dies with it).
+
+        The host keeps only live processes: finished ones are swept out
+        of its list as registrations go on (a host that never crashes
+        would otherwise hold every process it ever ran).
+        """
         if self.failed:
             raise HostDown(self.name)
         self._processes.append(proc)
 
     def attach_stream(self, stream: "Stream") -> None:
-        """Track a stream so a crash can break it."""
+        """Track a stream so a crash can break it.
+
+        Dead streams are swept out of the list as attachments go on.
+        Each one is retired first (:meth:`~repro.simnet.streams.Stream.retire`):
+        its window-stall accounting moves into its endpoint hosts'
+        ``stream_stall_s`` / ``stream_stalls``, so the end-of-run fold
+        still counts it.
+        """
         self._streams.append(stream)
 
     # -- failure ---------------------------------------------------------
@@ -136,10 +159,10 @@ class Host:
         if self.reliable:
             raise HostDown(f"reliable host {self.name} cannot be crashed")
         self.failed = True
-        procs, self._processes = self._processes, []
+        procs, self._processes = self._processes, process_list()
         for p in procs:
             p.kill()
-        streams, self._streams = self._streams, []
+        streams, self._streams = self._streams, _stream_list()
         for s in streams:
             s.break_both(self)
         for cb in list(self.on_crash):

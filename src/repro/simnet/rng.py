@@ -37,3 +37,13 @@ class RngRegistry:
     def fork(self, salt: int) -> "RngRegistry":
         """A registry with an independent master seed (for sub-experiments)."""
         return RngRegistry(master_seed=self.master_seed * 1_000_003 + salt)
+
+    def evict(self, prefix: str) -> None:
+        """Forget every stream whose name starts with ``prefix``.
+
+        For names that will never be drawn again — a finished plane
+        job's ``j<id>/`` streams — so a long-lived registry does not
+        keep one generator per job it ever served.
+        """
+        for name in [n for n in self._streams if n.startswith(prefix)]:
+            del self._streams[name]

@@ -311,6 +311,7 @@ class Stream:
             name = f"s{Stream._counter}:{host_a.name}<->{host_b.name}"
         self.name = name
         self.dead = False
+        self.retired = False
         self.a = StreamEnd(self, host_a, "a")
         self.b = StreamEnd(self, host_b, "b")
         self.a.peer = self.b
@@ -334,3 +335,21 @@ class Stream:
         self.dead = True
         self.a._break(cause)
         self.b._break(cause)
+
+    def retire(self) -> None:
+        """Move a dead stream's stall accounting onto its hosts (once).
+
+        Called as the stream is swept out of a host's list: each end's
+        ``stall_s`` / ``stall_count`` is added to its own host's
+        ``stream_stall_s`` / ``stream_stalls``, the way NIC busy time
+        accumulates, and the end-of-run fold counts it from there
+        (:func:`~repro.obs.collect.fold_cluster` skips retired streams
+        still listed on the other host).
+        """
+        if self.retired:
+            return
+        self.retired = True
+        for end in (self.a, self.b):
+            if end.stall_s:
+                end.host.stream_stall_s += end.stall_s
+                end.host.stream_stalls += end.stall_count

@@ -83,8 +83,14 @@ class Tracer:
         self._recompute_interest()
 
     def unsubscribe(self, callback: Callable[[float, str, dict], None]) -> None:
-        """Detach a subscriber added with :meth:`subscribe`."""
-        self._subs = [(cb, k) for cb, k in self._subs if cb is not callback]
+        """Detach a subscriber added with :meth:`subscribe`.
+
+        Subscribers are matched by equality, not identity, so a bound
+        method works: ``unsubscribe(obj.method)`` removes the
+        ``subscribe(obj.method)`` made earlier, although every
+        ``obj.method`` access builds a new bound-method object.
+        """
+        self._subs = [(cb, k) for cb, k in self._subs if cb != callback]
         self._recompute_interest()
 
     def _recompute_interest(self) -> None:

@@ -148,6 +148,51 @@ def test_tracer_ring_buffer_drops_oldest():
     assert len(t) == 0 and t.dropped == 0
 
 
+class _Sink:
+    def __init__(self):
+        self.seen = []
+
+    def on_event(self, time, kind, fields):
+        self.seen.append(kind)
+
+
+def test_unsubscribe_removes_a_bound_method():
+    """Every ``obj.method`` access builds a new bound-method object, so
+    an identity match could never find the subscription again."""
+    t = Tracer(enabled=False)
+    sink = _Sink()
+    t.subscribe(sink.on_event, kinds={"x"})
+    t.emit(0.0, "x")
+    t.unsubscribe(sink.on_event)
+    t.emit(1.0, "x")
+    assert sink.seen == ["x"]
+    assert not t._subs and not t.hot
+
+
+def test_auditor_finish_leaves_no_subscriber():
+    from repro.obs.audit import ProtocolAuditor
+
+    t = Tracer(enabled=False)
+    auditor = ProtocolAuditor().attach(t)
+    assert t.hot
+    auditor.finish()
+    assert t._subs == []
+    assert not t.hot  # retention off and nobody listening: emits are free
+
+
+def test_trace_router_close_detaches():
+    from repro.serve.namespace import TraceRouter
+
+    cluster_tracer, job_tracer = Tracer(enabled=False), Tracer(enabled=True)
+    router = TraceRouter(cluster_tracer)
+    router.register("j0", job_tracer)
+    cluster_tracer.emit(0.0, "el.store", rank=("j0", 1))
+    router.close()
+    assert cluster_tracer._subs == [] and not cluster_tracer.hot
+    cluster_tracer.emit(1.0, "el.store", rank=("j0", 1))
+    assert [(r.time, r["rank"]) for r in job_tracer] == [(0.0, 1)]
+
+
 # ------------------------------------------------------------ trace export
 
 

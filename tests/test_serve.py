@@ -228,6 +228,77 @@ def test_per_job_metrics_registries_are_isolated():
     assert plane.metrics.total("serve.completed") == 2
 
 
+def test_finished_job_drops_its_rng_streams():
+    plane = ControlPlane(capacity=4, svc_slots=1)
+    handle = plane.submit(_v2(
+        2, params={"rounds": 200, "nbytes": 8192},
+        checkpointing=True, ckpt_interval=0.05,
+    ))
+    plane.wait(handle)
+    tag = handle.result.extras["namespace"]
+    assert not any(
+        name.startswith(f"{tag}/") for name in plane.cluster.rng._streams
+    )
+
+
+# -- object lifetimes --------------------------------------------------------
+
+
+def test_finished_jobs_are_released(monkeypatch):
+    """A finished job's dispatcher and daemons become unreachable once
+    later jobs have run; what the submitter holds stays readable."""
+    import gc
+    import weakref
+
+    import repro.serve.plane as plane_mod
+    from repro.simnet.livelist import SWEEP_FLOOR
+
+    refs = []
+    recording = True
+
+    class Recording(plane_mod.Dispatcher):
+        def _spawn_rank(self, rank, host):
+            super()._spawn_rank(rank, host)
+            if recording:
+                refs.append(weakref.ref(self.states[rank].daemon))
+                if rank == 0:
+                    refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(plane_mod, "Dispatcher", Recording)
+    plane = ControlPlane(capacity=8, svc_slots=2)
+    early = [plane.submit(_v2(2)) for _ in range(10)]
+    plane.drain()
+    recording = False
+    assert len(refs) == 30  # 10 dispatchers, 20 daemons
+    later = [
+        plane.submit(_v2(2) if i % 3 == 0 else _p4(2)) for i in range(150)
+    ]
+    later.append(plane.submit(_v2(
+        2, params={"rounds": 200, "nbytes": 8192},
+        checkpointing=True, ckpt_interval=0.05,
+        fault={"kind": "kill", "rank": 1, "at": 0.06},
+    )))
+    plane.drain()
+    assert later[-1].result.restarts >= 1
+    # the long-lived owners keep (about) only live entries, not one per
+    # process or connection the 161 jobs ever made
+    for host in plane.cluster.net.hosts.values():
+        assert len(host._processes) < 2 * SWEEP_FLOOR
+        assert len(host._streams) < 2 * SWEEP_FLOOR
+    for svc in plane.loggers + plane.servers + [plane.listener]:
+        assert len(svc._procs) < 2 * SWEEP_FLOOR
+        assert len(svc._conns) < 2 * SWEEP_FLOOR
+    assert len(plane.sim._processes) < 8 * SWEEP_FLOOR
+    gc.collect()
+    assert [r() for r in refs if r() is not None] == []
+    for h in early:
+        res = h.result
+        assert len(res.results) == 2 and None not in res.results
+        assert res.metrics.total("el.roundtrips") > 0
+        assert res.audit is not None and res.audit.clean
+    assert plane.finish()["completed"] == len(early) + len(later)
+
+
 # -- the wire API ------------------------------------------------------------
 
 

@@ -213,6 +213,51 @@ def test_run_until_deadlock_detection():
         sim.run_until(p.done)
 
 
+def test_deadlock_names_blocked_process_after_many_finished_ones():
+    """Finished processes are swept out of the simulator's list; the
+    diagnostic still sees every live waiter, in spawn order."""
+    sim = Simulator()
+
+    def stuck():
+        yield sim.future("never")
+
+    def quick():
+        yield sim.pause(0.001)
+
+    sim.spawn(stuck(), "stuck-first")
+    for wave in range(12):
+        for i in range(100):
+            sim.spawn(quick(), f"quick{wave}.{i}")
+        sim.run()
+    p = sim.spawn(stuck(), "stuck-last")
+    assert len(sim._processes) < 300  # the finished ones were dropped
+    with pytest.raises(DeadlockError) as err:
+        sim.run_until(p.done)
+    msg = str(err.value)
+    assert msg.index("stuck-first on never") < msg.index("stuck-last on never")
+    assert "quick" not in msg
+
+
+def test_livelist_sweeps_dead_entries_and_keeps_order():
+    from repro.simnet.livelist import SWEEP_FLOOR, LiveList
+
+    retired = []
+    lst = LiveList(lambda x: x % 3 == 0, retired.append)
+    for i in range(SWEEP_FLOOR - 1):
+        lst.append(i)
+    assert len(lst) == SWEEP_FLOOR - 1 and not retired  # below the floor
+    lst.append(SWEEP_FLOOR - 1)  # reaching it sweeps
+    assert lst == [i for i in range(SWEEP_FLOOR) if i % 3 == 0]
+    assert retired == [i for i in range(SWEEP_FLOOR) if i % 3]
+    # the next sweep waits for the list to double (or reach the floor)
+    mark = max(SWEEP_FLOOR, 2 * len(lst))
+    for i in range(SWEEP_FLOOR, SWEEP_FLOOR + mark - len(lst) - 1):
+        lst.append(i)
+    assert len(lst) == mark - 1
+    lst.append(-3)
+    assert all(x % 3 == 0 for x in lst) and lst[-1] == -3
+
+
 def test_run_until_sim_time_limit():
     sim = Simulator()
 

@@ -401,3 +401,43 @@ def test_write_nowait_refuses_behind_queued_waiter():
     sim.spawn(blocked_writer(), "w")
     sim.run()
     assert stream.a.write_nowait(50, payload=3) is False
+
+
+def test_retired_stream_stall_still_folded():
+    """A stalled stream that died and was swept off the host lists
+    keeps its window stalls in the end-of-run fold, counted once."""
+    from types import SimpleNamespace
+
+    from repro.obs.collect import fold_cluster
+    from repro.obs.registry import Metrics
+    from repro.simnet.livelist import SWEEP_FLOOR
+
+    sim, net, stream = make_pair(window=1000)
+
+    def writer():
+        yield from stream.a.write_frame(5000, record="r", mtu=1000)
+
+    def reader():
+        while True:
+            _, payload = yield stream.b.read()
+            if payload is not None:
+                return
+
+    sim.spawn(writer(), "w")
+    sim.run_until(sim.spawn(reader(), "r").done)
+    stall_s, stalls = stream.a.stall_s, stream.a.stall_count
+    assert stall_s > 0.0 and stalls == 1
+    stream.break_both("closed")
+    a = stream.a.host
+    c = net.add_host(Host(sim, "c"))
+    for _ in range(SWEEP_FLOOR):  # sweeps a's list, not b's
+        Stream(net, a, c)
+    assert stream.retired and stream not in a._streams
+    assert stream in stream.b.host._streams  # still listed on b
+
+    cluster = SimpleNamespace(metrics=Metrics(), net=net)
+    fold_cluster(cluster)
+    m = cluster.metrics
+    assert m.total("stream.stall_s") == stall_s
+    assert m.total("stream.stalls") == stalls
+    assert m.counter("stream.stalls", host="a").value == stalls
