@@ -13,8 +13,6 @@ Not figures from the paper, but quantifications of its design arguments:
   CG/MG penalty of Figure 7.
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
@@ -31,7 +29,7 @@ def bench_event_logger_scaling(benchmark):
         for n_el in (1, 2, 4):
             res = run_job(
                 nas.cg.program, 16, device="v2", params={"klass": "A"},
-                n_event_loggers=n_el, limit=1e6,
+                cfg=DEFAULT_TESTBED.with_(el_servers=n_el), limit=1e6,
             )
             rows.append([n_el, res.elapsed])
             out[n_el] = res.elapsed

@@ -27,8 +27,6 @@ the spawn of the new incarnation to its completion (detection and rsh
 delays excluded, as in the paper's measurement).
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.ft.failure import ExplicitFaults
 from repro.runtime.mpirun import run_job

@@ -10,8 +10,6 @@ including during a checkpoint or a re-execution.  Claims:
 3. execution time below twice the fault-free reference at 9 faults.
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.ft.failure import RandomFaults
 from repro.runtime.mpirun import run_job

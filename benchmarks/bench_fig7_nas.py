@@ -16,8 +16,6 @@ Default sweep is a representative subset; REPRO_BENCH_FULL=1 runs classes
 A+B on process counts up to 32 (slow).
 """
 
-import pytest
-
 from repro.analysis.metrics import mops
 from repro.analysis.report import Report
 from repro.core.sender_log import LogOverflow

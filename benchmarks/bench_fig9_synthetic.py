@@ -7,8 +7,6 @@ V2 daemon drains incoming chunks between transmissions (full duplex),
 the P4 driver does not.
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.workloads.synthetic import measure
 

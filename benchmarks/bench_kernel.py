@@ -26,8 +26,8 @@ recorded in ``BENCH_kernel.json`` at the repository root:
 - **scale**: CG class B at 64 ranks — the run the rewrite exists to
   unlock — completes under a wall-clock budget with a clean protocol
   audit, and the CG-A-8 el-ack critical-path share stays below 0.30
-  with piggybacked acks enabled (it was 0.405 with dedicated ack
-  frames).
+  with cumulative acks (it was 0.405 with one dedicated ack frame per
+  batch).
 
 Timing methodology: one warmup run per configuration, then
 ``reps`` *interleaved* rounds — each round times the unprofiled and
@@ -69,7 +69,7 @@ OUT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_kernel.json"
 #: runner jitter without masking a real sampling-path regression.
 BUDGET_PROFILED = 0.15
 #: machine-independent protocol gate: el-ack share of the CG-A-8
-#: critical path with piggybacked acks (0.405 with dedicated frames)
+#: critical path with cumulative acks (0.405 with per-batch frames)
 BUDGET_EL_ACK_SHARE = 0.30
 #: coarse CI sanity floor for the throughput meter — absolute events/sec
 #: varies ~2x across runner generations, so this only catches
@@ -153,15 +153,15 @@ def _el_ack_share_once(nprocs: int, klass: str, el_servers: int) -> dict:
 
 
 def measure_el_ack_share(nprocs: int = 8, klass: str = "A") -> dict:
-    """El-ack share of the CG critical path, piggybacked acks on.
+    """El-ack share of the CG critical path, with cumulative acks.
 
     The gated figure uses **4 EL shards** — the same configuration the
     class-B-64 scale proof runs with — because at that scale the share
     is dominated by the physical ack round-trip (wire latency + EL CPU
-    per event), which piggybacking and sharding together bring under
+    per event), which cumulative acks and sharding together bring under
     the 0.30 budget.  The full shard sweep is recorded alongside for
     transparency: with a single shard the share stays ~0.42 even with
-    piggybacked acks, because single-EL CPU contention adds ~100µs
+    cumulative acks, because single-EL CPU contention adds ~100µs
     tails to every ack edge.
     """
     sweep = {ns: _el_ack_share_once(nprocs, klass, ns) for ns in (1, 2, 4)}
@@ -235,7 +235,7 @@ def _check(out: dict) -> list[str]:
     if out["el_ack_share"] > BUDGET_EL_ACK_SHARE:
         problems.append(
             f"el-ack critical-path share {out['el_ack_share']:.3f} exceeds "
-            f"{BUDGET_EL_ACK_SHARE:.2f} with piggybacked acks"
+            f"{BUDGET_EL_ACK_SHARE:.2f} with cumulative acks"
         )
     if out["audit_verdict"] != "clean":
         problems.append(f"CG-A-8 audit verdict {out['audit_verdict']!r}")
@@ -275,7 +275,7 @@ def bench_kernel_throughput():
         )
     rep.add(
         "flat (time, seq, slot, a, b) events with slot dispatch, pause "
-        "fast-path sleeps, coalesced stream frames and piggybacked EL "
+        "fast-path sleeps, coalesced stream frames and cumulative EL "
         "acks; timing is interleaved min-of-reps so machine drift "
         "cancels, and improvement_vs_seed compares against the "
         "pre-rewrite kernel measured the same way on the same machine"

@@ -8,8 +8,6 @@ utilization) and often provides better (up to n times better, n being
 the number of computing nodes for asynchronous broadcast)."
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.sched import SCHEMES, scheme, simulate
 

@@ -14,8 +14,6 @@ actual transmission shifts into MPI_Wait, V2's total is *smaller* for BT
 and ~3x larger for CG.
 """
 
-import pytest
-
 from repro.analysis.report import Report
 from repro.runtime.mpirun import run_job
 from repro.workloads import nas

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..mpi.datatypes import Envelope
-from ..mpi.protocol import Packet, PacketKind
+from ..mpi.protocol import Packet, PacketKind, inline_packet
 from ..obs.registry import Metrics
 from ..simnet.kernel import Queue, Simulator
 from ..simnet.trace import Tracer
@@ -42,6 +42,7 @@ class DeliveryPipeline:
     ) -> None:
         self.core = core
         self.sim = sim
+        self._short_limit = core.cfg.short_threshold
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         # highest sclock passed up to the MPI process, per sender: the
         # duplicate-discard watermark of replay phase C
@@ -56,10 +57,7 @@ class DeliveryPipeline:
 
     def enqueue_replay(self, dst: int, env: Envelope) -> None:
         """Old saved messages are re-sent with the payload inline."""
-        kind = PacketKind.SHORT if env.nbytes <= 1024 else PacketKind.EAGER
-        self.core.peers.enqueue_app(
-            dst, Packet(kind, env, payload_bytes=env.nbytes)
-        )
+        self.core.peers.enqueue_app(dst, inline_packet(env, self._short_limit))
 
     def handle_app_packet(self, src: int, pkt: Packet) -> None:
         core = self.core

@@ -408,9 +408,8 @@ class EventLogClient:
                 return
             if msg[0] == "ACK":
                 # ("ACK", bid, n): cumulative — the server coalesces acks
-                # for a burst of queued batches into one frame, and may
-                # piggyback them on DOWNLOAD replies, so one ack can
-                # cover several unacked entries
+                # for a burst of queued batches into one frame, so one
+                # ack can cover several unacked entries
                 self._ack_through(rep, msg[1])
 
     def _ack_through(self, rep: _ReplicaLink, bid: int) -> None:
@@ -499,14 +498,7 @@ class EventLogClient:
                     rep.session.drop(end)
                     failovers += 1
                     continue
-                records = reply[1]
-                if len(reply) >= 3 and reply[2] is not None:
-                    # quorum acks piggybacked on the serve traffic: the
-                    # DOWNLOAD reply carries the highest batch id this
-                    # replica has stored but not yet acked on a frame of
-                    # its own — fold it in before processing the records
-                    self._ack_through(rep, reply[2])
-                for rec in records:
+                for rec in reply[1]:
                     merged.setdefault(rec.rclock, rec)
                 got += 1
             if got >= need:

@@ -18,9 +18,7 @@ shard and
 * receives acknowledgements — the daemon may not emit application
   messages while events lack a quorum of acks (the pessimistic gate).
   Acks are *cumulative* by batch id: a burst of queued batches is
-  stored under one CPU charge and answered with a single frame, and a
-  DOWNLOAD queued behind the burst carries the ack on its own reply
-  (``cfg.el_piggyback_acks``);
+  stored under one CPU charge and answered with a single frame;
 * on restart, downloads every event with receiver-clock greater than
   its checkpoint clock (``DownloadEL`` of Appendix A) from the live
   replicas, unioned so any quorum member can serve it;
@@ -272,10 +270,8 @@ class EventLoggerServer(ServiceBase):
                 ),
             )
 
-    def _download(self, end: StreamEnd, rank: Any, after_clock: int,
-                  piggy_bid: Optional[int]):
-        """Serve one DOWNLOAD; the reply's third field piggybacks the
-        cumulative ack for batches stored just before the request."""
+    def _download(self, end: StreamEnd, rank: Any, after_clock: int):
+        """Serve one DOWNLOAD: every stored event above ``after_clock``."""
         # a freshly-restarted replica must not answer downloads
         # from a store it has not finished re-filling: that would
         # break the read-quorum intersection argument
@@ -290,10 +286,9 @@ class EventLoggerServer(ServiceBase):
             self.sim.now, "el.download", rank=rank, n=len(records),
             server=self.name,
         )
-        yield from end.write(nbytes, ("EVENTS", records, piggy_bid))
+        yield from end.write(nbytes, ("EVENTS", records))
 
     def _serve(self, end: StreamEnd, hello: Any):
-        piggyback = self.cfg.el_piggyback_acks
         pending: Any = None
         while True:
             if pending is not None:
@@ -307,7 +302,7 @@ class EventLoggerServer(ServiceBase):
             if kind == "EVENT":
                 _, rank, bid, records = msg
                 batches = [(rank, bid, records)]
-                if piggyback and end.readable:
+                if end.readable:
                     # coalesce the burst already queued behind this batch
                     try:
                         pending = yield from self._drain_queued(end, batches)
@@ -334,33 +329,16 @@ class EventLoggerServer(ServiceBase):
                 self.acks_sent += 1
                 self._m_acks.inc()
                 self._m_cpu_s.inc(cost)
-                last_bid = batches[-1][1]
-                if (
-                    pending is not None
-                    and pending[0] == "DOWNLOAD"
-                    and not self._resyncing
-                ):
-                    # a recovery download queued right behind the burst:
-                    # ride the cumulative ack on its reply instead of
-                    # spending a dedicated ack frame
-                    msg, pending = pending, None
-                    try:
-                        yield from self._download(
-                            end, msg[1], msg[2], last_bid
-                        )
-                    except Disconnected:
-                        return  # the restarting daemon retries its download
-                    continue
                 try:
                     yield from end.write(
                         self.cfg.event_ack_bytes,
-                        ("ACK", last_bid, total),
+                        ("ACK", batches[-1][1], total),
                     )
                 except Disconnected:
                     return  # the daemon re-pushes the batch after reconnect
             elif kind == "DOWNLOAD":
                 try:
-                    yield from self._download(end, msg[1], msg[2], None)
+                    yield from self._download(end, msg[1], msg[2])
                 except Disconnected:
                     return  # the restarting daemon retries its download
             elif kind == "SYNC":

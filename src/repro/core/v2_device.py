@@ -14,9 +14,9 @@ This module is the *protocol core*: logical clocks, the sender log
 :class:`V2Device` channel facade.  The daemon's I/O machinery lives in
 focused modules composed here — :class:`~repro.core.peers.PeerManager`
 (the peer mesh), :class:`~repro.core.el_client.EventLogClient` (the
-WAITLOGGED gate, cleared by cumulative quorum acks the logger
-piggybacks on its serve traffic), :class:`~repro.core.ckpt_client.CheckpointClient`
-(capture and quorum push),
+WAITLOGGED gate, cleared by cumulative quorum acks),
+:class:`~repro.core.ckpt_client.CheckpointClient` (capture and quorum
+push),
 :class:`~repro.core.ctrl_client.ControlPlaneClient` (dispatcher and
 scheduler links), and :class:`~repro.core.delivery.DeliveryPipeline`
 (duplicate discard, replay holdback, process forwarding) — all over
@@ -30,7 +30,7 @@ from typing import Any, Generator, Optional
 
 from ..devices.base import ChannelDevice
 from ..mpi.datatypes import Envelope
-from ..mpi.protocol import Packet, PacketKind
+from ..mpi.protocol import Packet, PacketKind, inline_packet
 from ..obs.registry import Metrics
 from ..runtime.config import TestbedConfig
 from ..runtime.fabric import Fabric
@@ -384,6 +384,7 @@ class V2Device(ChannelDevice):
         daemon.device = self
         self._peer_restart_pending: set[int] = set()
         self._adi = None  # bound by the MPI object
+        self._short_limit = cfg.short_threshold
 
     def bind_adi(self, adi) -> None:
         """Attach the progress engine (for recovery repairs)."""
@@ -495,8 +496,7 @@ class V2Device(ChannelDevice):
                 )
             yield self.sim.pause(0.0)
             env = rec.to_envelope(self.rank)
-            kind = PacketKind.SHORT if env.nbytes <= 1024 else PacketKind.EAGER
-            return env.src, Packet(kind, env, payload_bytes=env.nbytes)
+            return env.src, inline_packet(env, self._short_limit)
         return (yield from super().pibrecv())
 
     def _pump_ready(self) -> None:
@@ -570,10 +570,9 @@ class V2Device(ChannelDevice):
                 rec = d.replay.next_ff_delivery()
                 if rec is not None:
                     env = rec.to_envelope(self.rank)
-                    kind = (
-                        PacketKind.SHORT if env.nbytes <= 1024 else PacketKind.EAGER
+                    self.inbox.put(
+                        (env.src, inline_packet(env, self._short_limit))
                     )
-                    self.inbox.put((env.src, Packet(kind, env, payload_bytes=env.nbytes)))
                 return None
             return False
         return d.replay.replay_probe()

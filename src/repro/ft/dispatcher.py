@@ -112,7 +112,6 @@ class Dispatcher(Launch):
     ckpt_interval: float = 30.0
     ckpt_continuous: bool = False
     faults: Optional[Any] = None
-    n_event_loggers: int = 1
     spares: int = 0
     on_ready: Optional[Callable[[dict], None]] = None
     plan: Optional[DeploymentPlan] = None
@@ -190,7 +189,7 @@ class Dispatcher(Launch):
         """Machines and services of a private deployment."""
         cluster, cfg, plan = self.cluster, self.cfg, self.plan
         n_cs = max(1, cfg.ckpt_servers)
-        n_el = max(self.n_event_loggers, cfg.el_servers)
+        n_el = max(1, cfg.el_servers)
         if plan is None:
             self.host = cluster.add_aux("service")  # dispatcher + EL(s) + SC
             self.cs_hosts = [

@@ -23,7 +23,7 @@ from ..simnet.kernel import Future, Simulator
 from ..simnet.trace import Tracer
 from .datatypes import Envelope
 from .matching import MatchEngine
-from .protocol import Packet, PacketKind
+from .protocol import Packet, PacketKind, inline_packet
 from .requests import RecvRequest, SendRequest
 
 __all__ = ["Adi"]
@@ -46,6 +46,7 @@ class Adi:
         self.size = size
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.match = MatchEngine()
+        self._short_limit = device.cfg.short_threshold
         # rendezvous state
         self._rndv_out: dict[tuple[int, int], tuple[Envelope, SendRequest]] = {}
         self._rndv_in: dict[tuple[int, int], RecvRequest] = {}
@@ -71,8 +72,7 @@ class Adi:
             float("inf") if self.device.eager_override else self.device.cfg.eager_threshold
         )
         if env.nbytes <= eager_limit:
-            kind = PacketKind.SHORT if env.nbytes <= 1024 else PacketKind.EAGER
-            pkt = Packet(kind, env, payload_bytes=env.nbytes)
+            pkt = inline_packet(env, self._short_limit)
             yield from self.device.pibsend(env.dst, pkt)
             req.done.resolve(None)
         else:

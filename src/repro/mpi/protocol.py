@@ -16,7 +16,7 @@ from typing import Any
 
 from .datatypes import Envelope
 
-__all__ = ["PacketKind", "Packet", "wire_bytes", "is_app_payload"]
+__all__ = ["PacketKind", "Packet", "inline_packet", "wire_bytes", "is_app_payload"]
 
 
 class PacketKind(Enum):
@@ -43,6 +43,13 @@ class Packet:
     def msgid(self) -> tuple[int, int]:
         """The carried message's unique identifier."""
         return self.env.msgid
+
+
+def inline_packet(env: Envelope, short_limit: int) -> Packet:
+    """The payload-carrying packet for ``env``: SHORT up to ``short_limit``
+    bytes (``TestbedConfig.short_threshold``), EAGER above."""
+    kind = PacketKind.SHORT if env.nbytes <= short_limit else PacketKind.EAGER
+    return Packet(kind, env, payload_bytes=env.nbytes)
 
 
 def wire_bytes(pkt: Packet, header: int) -> int:

@@ -5,8 +5,8 @@ NICs, the stream flow control) keep plain float attributes instead of
 live metric handles — an attribute add is the cheapest accounting
 possible.  When a job completes, those floats and the per-rank device
 counters are folded into a :class:`~repro.obs.registry.Metrics`
-registry, and the per-rank stats dicts that
-:class:`~repro.runtime.results.JobResult` exposes are built.
+registry — the one place a job's counters are read from
+(:meth:`~repro.runtime.results.JobResult.stat`).
 
 The two halves are separate because a shared cluster needs them
 separately: :func:`fold_cluster` folds the *shared* accounting (network,
@@ -14,11 +14,6 @@ NICs, streams) exactly once per cluster — after the job on a private
 cluster, at shutdown on the control plane — while
 :func:`fold_device_stats` folds one job's device counters into that
 job's own registry (see :func:`repro.runtime.launch.finalize`).
-
-The returned dicts are backward compatible: the device-stat keys
-(``bytes_sent``, ...) stay at top level, and the per-rank registry
-totals (``el.roundtrips``, ``gate.stall_s``, ``senderlog.bytes``, ...)
-are merged alongside them.
 """
 
 from __future__ import annotations
@@ -81,21 +76,11 @@ def fold_device_stats(
     metrics: Any,
     device_stats: dict[int, Any],  # rank -> devices.DeviceStats
     device: str,
-) -> dict[int, dict[str, Any]]:
-    """Fold one job's device counters into ``metrics``; build rank stats."""
-    stats: dict[int, dict[str, Any]] = {}
+) -> None:
+    """Fold one job's device counters into ``metrics`` as ``dev.*``."""
     for rank, dev_stats in device_stats.items():
-        snap = dev_stats.snapshot()
-        for key, value in snap.items():
+        for key, value in dev_stats.snapshot().items():
             if value:
                 metrics.counter(f"dev.{key}", rank=rank, device=device).inc(
                     value
                 )
-        stats[rank] = snap
-
-    # merge per-rank registry totals next to the raw device counters
-    for rank, totals in metrics.by_label("rank").items():
-        if rank in stats:
-            for name, value in totals.items():
-                stats[rank].setdefault(name, value)
-    return stats

@@ -139,23 +139,6 @@ class Histogram:
         """Mean of the observed samples (0 when empty)."""
         return self.sum / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (0 when empty).
-
-        Returns the upper bound of the bucket holding the q-th sample,
-        clamped to the observed max (so the overflow bucket and the
-        extremes stay honest).
-        """
-        if not self.count:
-            return 0.0
-        target = q * self.count
-        acc = 0
-        for bound, n in zip(self.bounds, self.buckets):
-            acc += n
-            if acc >= target:
-                return min(bound, self.max)
-        return self.max
-
     def scalar(self) -> float:
         return self.sum
 
@@ -241,6 +224,9 @@ class Metrics:
 
         The per-label histograms share bucket bounds (they are bound with
         the same call site), so their buckets sum into one distribution.
+        Returns the upper bound of the bucket holding the q-th sample,
+        clamped to the observed max (so the overflow bucket and the
+        extremes stay honest); ``default`` when nothing was observed.
         """
         merged: Optional[list[int]] = None
         bounds: tuple[float, ...] = ()

@@ -66,11 +66,9 @@ class TestbedConfig:
     cm_store_cpu: float = 25e-6  # CM-side handling per message
 
     # -- checkpointing -----------------------------------------------------------
-    ckpt_protocol_bytes: int = 64  # control messages around a checkpoint
     ckpt_fork_cost: float = 20e-3  # fork + Condor library entry
     restart_detect_delay: float = 0.25  # dispatcher notices the broken socket
-    restart_spawn_delay: float = 1.0  # rsh/ssh + process launch on the new node
-    ckpt_image_load_cpu: float = 0.5  # Condor jump-to-checkpoint local cost
+    restart_spawn_delay: float = 1.0  # rsh/ssh + launch + image load on the new node
 
     # -- failure model -------------------------------------------------------------
     reliable_aux: bool = True
@@ -104,13 +102,10 @@ class TestbedConfig:
     # Ranks shard across el_servers logger groups (rank % el_servers); each
     # group keeps el_replicas in-memory copies of its shard's event tuples.
     # The WAITLOGGED gate clears on a majority quorum of replica acks, so a
-    # replica crash costs a failover rather than a stalled job.
+    # replica crash costs a failover rather than a stalled job.  A replica
+    # acks a burst of queued EVENT batches with one cumulative frame.
     el_servers: int = 1  # N: shards (logger groups) in the cluster
     el_replicas: int = 1  # K: replicas per shard (1 = the classic single EL)
-    # Coalesce the acks for a burst of queued EVENT batches into one
-    # cumulative frame, and piggyback them on DOWNLOAD replies — fewer
-    # dedicated ack round trips on the WAITLOGGED critical path.
-    el_piggyback_acks: bool = True
 
     # -- multi-job control plane (repro.serve) -------------------------------------
     serve_capacity: int = 16  # computing-node slots in the shared pool

@@ -254,7 +254,7 @@ def finalize(
     site = job.site
     metrics = site.metrics
     live = [st for st in job.states if st.mpi is not None]
-    stats = fold_device_stats(
+    fold_device_stats(
         metrics, {st.rank: st.mpi.device.stats for st in live}, job.device
     )
     report, prof = instruments.finish(site.sim.now)
@@ -270,7 +270,6 @@ def finalize(
         results=results,
         timers={st.rank: st.mpi.timer for st in live},
         tracer=site.tracer,
-        stats=stats,
         restarts=sum(st.restarts for st in job.states),
         checkpoints=int(metrics.total("ckpt.images")),
         metrics=metrics,

@@ -59,16 +59,9 @@ def run_job(
     audit: bool = False,
     profile: bool = False,
     timeseries: Any = False,
-    plane: Optional[Any] = None,
     **device_kw: Any,
 ) -> JobResult:
     """Run ``program`` on ``nprocs`` simulated processes; block to completion.
-
-    With ``plane`` (a :class:`~repro.serve.plane.ControlPlane`), the job
-    is not given a private cluster: it is submitted to the plane's
-    admission queue and runs over the shared deployment — ``run_job``
-    becomes a single-job client of the control plane, and the plane's
-    ``cfg``/``seed`` govern the platform (this call's are ignored).
 
     ``limit`` bounds simulated seconds (raises if exceeded).  ``audit``
     attaches the online protocol auditor to the run's live trace stream
@@ -83,36 +76,9 @@ def run_job(
     :class:`~repro.obs.timeseries.TimeseriesSampler`).  ``audit_hb=True``
     (a keyword option) also builds the auditor's happens-before graph.
     Other keyword arguments are forwarded to the device's launch strategy
-    (fault schedules, checkpoint policies, event-logger counts, ...).
+    (fault schedules, checkpoint policies, spare machines, ...).
     """
     params = params or {}
-    if plane is not None:
-        if profile or timeseries:
-            raise ValueError(
-                "profile/timeseries are per-cluster: run them on a "
-                "dedicated deployment, not through the control plane"
-            )
-        from ..serve.plan import JobSpec
-
-        spec = JobSpec(
-            workload=program,
-            nranks=nprocs,
-            device=device,
-            params=params,
-            checkpointing=device_kw.pop("checkpointing", False),
-            ckpt_interval=device_kw.pop("ckpt_interval", 30.0),
-            fault=device_kw.pop("faults", None),
-            tenant=device_kw.pop("tenant", "default"),
-            limit=limit,
-            trace=trace,
-            audit=audit,
-        )
-        if device_kw:
-            raise ValueError(
-                f"options {sorted(device_kw)} are not supported when "
-                "submitting through a control plane"
-            )
-        return plane.wait(plane.submit(spec))
     audit_hb = device_kw.pop("audit_hb", False)
     job = _launcher(device)(program, params, nprocs, **device_kw)
     cluster = Cluster(cfg, seed=seed, trace=trace)

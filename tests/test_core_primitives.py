@@ -187,7 +187,7 @@ def test_event_logger_store_ack_download():
         return reply
 
     p = cluster.sim.spawn(client(), "cli")
-    kind, records, _piggy = cluster.sim.run_until(p.done)
+    kind, records = cluster.sim.run_until(p.done)
     assert kind == "EVENTS"
     assert records == [EventRecord(1, 2, 5, 0)]
 

@@ -8,6 +8,7 @@ from repro.core.sender_log import LogOverflow
 from repro.ft.failure import ExplicitFaults, RandomFaults
 from repro.mpi.datatypes import Envelope
 from repro.mpi.protocol import Packet, PacketKind
+from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
 
 
@@ -131,7 +132,9 @@ def test_spares_exhausted_falls_back_to_reboot():
 
 
 def test_multiple_event_loggers():
-    res = run_job(ring, 4, device="v2", n_event_loggers=2)
+    res = run_job(
+        ring, 4, device="v2", cfg=DEFAULT_TESTBED.with_(el_servers=2)
+    )
     els = res.extras["event_loggers"]
     assert len(els) == 2
     # ranks are partitioned round-robin across loggers

@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.ft.failure import ExplicitFaults, ServiceFaults
+from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.mpirun import run_job
 from repro.runtime.progfile import parse_progfile
 from repro.serve import ControlPlane, JobSpec
@@ -115,7 +116,8 @@ def v2_private_ckpt_shards_kill():
     res = run_job(
         ring, 4, device="v2", trace=True, seed=7,
         params={"rounds": 12, "work": 0.1},
-        checkpointing=True, ckpt_interval=0.1, n_event_loggers=2,
+        checkpointing=True, ckpt_interval=0.1,
+        cfg=DEFAULT_TESTBED.with_(el_servers=2),
         faults=ExplicitFaults([(0.55, 1)]), audit=True, timeseries=0.1,
         limit=600.0,
     )

@@ -296,3 +296,23 @@ def test_scan_on_v2_and_under_fault():
                      faults=ExplicitFaults([(0.03, 2)]), limit=600.0)
     assert faulty.restarts == 1
     assert faulty.results == clean.results
+
+
+# -- configuration -------------------------------------------------------------
+
+
+def test_every_config_field_is_read_somewhere():
+    """A ``TestbedConfig`` field nothing reads is a knob that does nothing."""
+    import dataclasses
+    import pathlib
+    import re
+
+    from repro.runtime.config import TestbedConfig
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    text = "\n".join(p.read_text() for p in src.rglob("*.py"))
+    dead = [
+        f.name for f in dataclasses.fields(TestbedConfig)
+        if not re.search(rf"\.{f.name}\b", text)
+    ]
+    assert dead == []

@@ -167,8 +167,8 @@ def test_stats_track_traffic():
         return None
 
     res = run_job(prog, 2, device="p4")
-    assert res.stats[0]["bytes_sent"] >= 5000
-    assert res.stats[1]["bytes_received"] >= 5000
+    assert res.stat("dev.bytes_sent", rank=0) >= 5000
+    assert res.stat("dev.bytes_received", rank=1) >= 5000
 
 
 def test_rng_streams_are_stable_and_independent():

@@ -4,20 +4,23 @@ Covers the admission queue (FIFO within a tenant, head-blocking,
 cross-tenant fair share), all-or-nothing gang placement, per-job
 namespace isolation on the shared fabric / EL shards / store replicas,
 rank-kill isolation between co-resident jobs (with clean audits on both
-sides), per-job metrics-registry isolation, the plane's wire API, and
-``run_job`` acting as a single-job client of a plane.
+sides), per-job metrics-registry isolation and the plane's wire API.
 """
+
+import json
+import pathlib
 
 import pytest
 
+from repro.cli import main
+from repro.ft.failure import ExplicitFaults, RandomFaults
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import DEFAULT_TESTBED
 from repro.runtime.fabric import ConnectionRefused, Fabric, ScopedFabric
-from repro.runtime.mpirun import run_job
-from repro.runtime.results import JobResult
 from repro.runtime.session import Session
 from repro.serve import ControlPlane, JobSpec, load_plan
-from repro.workloads import token_ring
+from repro.serve.plan import resolve_fault, resolve_program
+from repro.workloads import nas, pingpong, token_ring
 
 TINY = {"rounds": 3, "nbytes": 256}
 
@@ -56,11 +59,15 @@ def test_scoped_fabric_prefixes_all_but_shared_names():
 
 
 def test_cluster_namespaces_keep_host_names_disjoint():
+    # a namespace is a host-name prefix; the network is what stops two
+    # deployments from claiming one machine name
     cluster = Cluster(DEFAULT_TESTBED, seed=0)
-    cluster.add_cn("cn0", namespace="a/")
-    cluster.add_aux("cn0", namespace="b/")  # same bare name, other namespace
-    with pytest.raises(ValueError):
-        cluster.add_cn("cn0", namespace="a/")
+    cluster.add_cn("a/cn0")
+    cluster.add_aux("b/cn0")  # same bare name, other namespace
+    with pytest.raises(ValueError, match="duplicate host"):
+        cluster.add_cn("a/cn0")
+    with pytest.raises(ValueError, match="duplicate host"):
+        cluster.add_aux("b/cn0")
 
 
 # -- plans -------------------------------------------------------------------
@@ -89,6 +96,64 @@ def test_load_plan_bare_list_defaults_tenant(tmp_path):
     tenants, jobs = load_plan(str(path))
     assert tenants == {"default": 1.0}
     assert jobs[0].nranks == 2 and jobs[0].device == "p4"
+
+
+def test_plan_resolvers_name_every_workload_and_fault_kind():
+    ping, params = resolve_program(
+        JobSpec(workload="pingpong", nranks=2, params={"reps": 3})
+    )
+    assert ping is pingpong and params == {"reps": 3}
+    cg, params = resolve_program(JobSpec(workload="cg", nranks=2, klass="T"))
+    assert cg is nas.KERNELS["cg"].program and params == {"klass": "T"}
+    with pytest.raises(ValueError, match="unknown workload 'nope'"):
+        resolve_program(JobSpec(workload="nope", nranks=2))
+
+    def fault(**plan):
+        return resolve_fault(
+            JobSpec(workload="token_ring", nranks=2, device="v2", fault=plan)
+        )
+
+    explicit = fault(kind="explicit", schedule=[[0.1, 1], ["0.5", "0"]])
+    assert isinstance(explicit, ExplicitFaults)
+    assert explicit.schedule == [(0.1, 1), (0.5, 0)]
+    rand = fault(kind="random", interval=2, count=3, seed=4)
+    assert isinstance(rand, RandomFaults)
+    assert (rand.interval, rand.count, rand.seed, rand.first_at) == (
+        2.0, 3, 4, None
+    )
+    with pytest.raises(ValueError, match="unknown fault kind 'meteor'"):
+        fault(kind="meteor")
+
+
+def test_named_workloads_and_explicit_faults_run_on_the_plane():
+    plane = ControlPlane(capacity=6, svc_slots=1)
+    ping = plane.submit(JobSpec(workload="pingpong", nranks=2,
+                                params={"reps": 3}))
+    cg = plane.submit(JobSpec(workload="cg", nranks=2, klass="T"))
+    killed = plane.submit(JobSpec(
+        workload="token_ring", nranks=2, device="v2",
+        params={"rounds": 100, "nbytes": 16384},
+        fault={"kind": "explicit", "schedule": [[0.05, 1]]},
+    ))
+    plane.drain()
+    assert ping.result.results[0] > 0  # mean one-way time
+    assert len(cg.result.results) == 2 and None not in cg.result.results
+    assert killed.result.restarts == 1 and killed.result.audit.clean
+    assert plane.finish()["completed"] == 3
+
+
+def test_serve_command_runs_the_example_plan(tmp_path, capsys):
+    plan = pathlib.Path(__file__).resolve().parents[1] / "examples/serve_plan.json"
+    out = tmp_path / "serve.json"
+    rc = main(["serve", "--jobs", str(plan), "--capacity", "8",
+               "--svc-slots", "2", "--json-out", str(out)])
+    assert rc == 0
+    assert "8/8 jobs" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["completed"] == 8
+    assert doc["summary"]["timeouts"] == 0
+    assert [j["audit"] for j in doc["jobs"]] == ["clean"] * 8
+    assert [j["restarts"] > 0 for j in doc["jobs"]] == [True] + [False] * 7
 
 
 # -- admission ---------------------------------------------------------------
@@ -330,16 +395,3 @@ def test_plane_listener_serves_submit_and_wait():
     assert got["done"] == ("DONE", job_id, "done")
     assert got["err"][0] == "ERR"
     assert plane.handles[job_id].result.nprocs == 2
-
-
-def test_run_job_as_a_control_plane_client():
-    plane = ControlPlane(capacity=4, svc_slots=1)
-    res = run_job(token_ring, 2, device="p4", plane=plane, params=dict(TINY))
-    assert isinstance(res, JobResult)
-    assert res.nprocs == 2 and res.device == "p4"
-    assert res.extras["tenant"] == "default"
-    # per-cluster instruments cannot ride through a shared plane
-    with pytest.raises(ValueError, match="control plane"):
-        run_job(token_ring, 2, plane=plane, profile=True)
-    with pytest.raises(ValueError, match="not supported"):
-        run_job(token_ring, 2, plane=plane, el_servers=3)

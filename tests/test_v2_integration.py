@@ -150,3 +150,20 @@ def test_v2_deterministic():
     r2 = run_job(prog, 4, device="v2")
     assert r1.elapsed == r2.elapsed
     assert r1.results == r2.results
+
+
+def test_short_threshold_picks_the_inline_packet_kind():
+    from repro.runtime.config import DEFAULT_TESTBED
+    from repro.workloads import token_ring
+
+    def run(cfg):
+        res = run_job(token_ring, 3, device="v2", cfg=cfg, trace=True,
+                      params={"rounds": 3, "nbytes": 256})
+        return res, {r["pkt_kind"] for r in res.tracer.select("v2.tx")}
+
+    base, kinds = run(DEFAULT_TESTBED)
+    assert "short" in kinds and "eager" not in kinds
+    # a zero limit sends even the 256-byte ring messages eager
+    off, kinds_off = run(DEFAULT_TESTBED.with_(short_threshold=0))
+    assert "short" not in kinds_off and "eager" in kinds_off
+    assert off.results == base.results

@@ -135,3 +135,31 @@ def test_probing_with_checkpoint_restore():
     )
     assert res.restarts == 1
     assert res.results[1] == clean.results[1]
+
+
+def test_probing_replay_fast_forwards_through_a_checkpoint(monkeypatch):
+    """A kill after a checkpoint: the restarted consumer fast-forwards its
+    pre-checkpoint probes (``ReplayState.ff_probe``) before replaying."""
+    from repro.core.replay import ReplayState
+
+    ff_probes = []
+    ff_probe = ReplayState.ff_probe
+
+    def counting(self):
+        ff_probes.append(1)
+        return ff_probe(self)
+
+    monkeypatch.setattr(ReplayState, "ff_probe", counting)
+    clean = run_job(probing_consumer, 2, device="v2", params={"items": 30})
+    res = run_job(
+        probing_consumer, 2, device="v2", params={"items": 30},
+        checkpointing=True, ckpt_interval=0.05,
+        faults=ExplicitFaults([(0.2, 1)]), audit=True, trace=True,
+        limit=600.0,
+    )
+    assert res.results == clean.results
+    assert res.restarts == 1
+    assert res.audit.clean
+    (restart,) = res.tracer.select("v2.restart")
+    assert restart["rank"] == 1 and restart["from_recv_seq"] > 0
+    assert ff_probes

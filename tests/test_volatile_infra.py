@@ -194,7 +194,7 @@ def test_event_logger_stop_start_keeps_durable_events():
         el.start()
         end = fabric.connect(cn, "el:0", hello=("DAEMON", 0, 1))
         yield from end.write(16, ("DOWNLOAD", 0, 0))
-        _, (tag, events, _piggy) = yield end.read()
+        _, (tag, events) = yield end.read()
         got["events"] = events
 
     sim.spawn(client())
@@ -622,7 +622,7 @@ def test_el_replica_resync_pulls_missing_events():
         el_b.start()  # relaunch resyncs from el:0
         end = fabric.connect(cn, "el:0.1", hello=("DAEMON", 0, 1))
         yield from end.write(16, ("DOWNLOAD", 0, 0))
-        _, (tag, events, _piggy) = yield end.read()
+        _, (tag, events) = yield end.read()
         got["events"] = events
 
     sim.spawn(client())
